@@ -46,7 +46,10 @@ let default_max_alloc_bytes = 268_435_456 (* 256 MiB *)
    (Masc_fault.Cancel) every [guard_mask]+1 dynamic instructions —
    frequent enough to bound the overshoot to microseconds, rare enough
    that the armed cost disappears into the per-instruction work. The
-   mask is shared so the two engines cancel at the same step. *)
+   mask is shared so the two engines cancel at the same step: the plan,
+   which charges a straight-line segment at once, tests at segment entry
+   whether a check step falls inside the segment and, if so, runs that
+   segment charging per instruction. *)
 let guard_mask = 1023
 
 let trap_kind_name = function

@@ -29,6 +29,12 @@
    [Value.t] register. Boxed values appear only there and at the
    argument/return boundary (see Store).
 
+   Charges are static too, so they are applied per straight-line
+   segment rather than per instruction: one test at segment entry
+   decides whether any trap, injected fault or deadline check can fall
+   inside the segment, and only then does it run charging instruction
+   by instruction ([enter], DESIGN.md "Simulator architecture").
+
    Execution is bit-identical to the legacy tree-walker
    ({!Interp.run_tree}): same results, cycles, dynamic instruction
    counts, output, error messages, and even the same histogram ordering
@@ -72,6 +78,12 @@ type state = {
   guard_on : bool;  (* deadline armed at entry, pre-decided *)
   fault_step : int;  (* dyn index where an injected sim.step fault fires; -1 = never *)
   fault_occ : int;  (* the draw's occurrence index, for the report *)
+  base_event : int;  (* last dyn index no fuel trap or fault can reach *)
+  mutable next_event : int;
+      (* [base_event], lowered to the step before the next deadline
+         check while a deadline is armed: a segment whose charges stay
+         at or below it cannot reach any per-step event *)
+  mutable exact : bool;  (* straight-line closures charge per instruction *)
 }
 
 let charge st cls cycles =
@@ -87,8 +99,10 @@ let charge st cls cycles =
   (* Cooperative cancellation rides the fuel accounting: when a request
      deadline is armed, test it every guard_mask+1 steps. Off (the
      default) this costs one bool load per instruction. *)
-  if st.guard_on && st.dyn land Exec.guard_mask = 0 then
+  if st.guard_on && st.dyn land Exec.guard_mask = 0 then begin
     Masc_fault.Cancel.check ();
+    st.next_event <- min st.base_event (st.dyn + Exec.guard_mask)
+  end;
   if st.dyn = st.fault_step then
     raise
       (Masc_fault.Fault.injected ~site:"sim.step" ~occurrence:st.fault_occ ());
@@ -100,6 +114,57 @@ let charge st cls cycles =
     Exec.raise_trap
       ~kind:(Exec.Cycle_limit { max_cycles = st.max_cycles })
       ~loc:st.floc ~steps_executed:st.dyn
+
+(* The charge of a straight-line instruction. Its segment normally
+   charges for it in bulk on entry ([enter]); only a segment run in
+   exact mode, or a profiled plan, charges here, at the instruction's
+   own step. *)
+let[@inline] echarge st cls cycles = if st.exact then charge st cls cycles
+
+(* ---------------- straight-line segments ----------------
+
+   A segment is a maximal run of charge-once instructions (defs,
+   stores, prints, comments), optionally led by a for loop's
+   per-iteration charge. Its charges are fixed at plan time: [n]
+   dynamic instructions, [c] cycles, and per class, in first-charge
+   order, the cycles it adds to the histogram. Costs are non-negative
+   (the ISA parser rejects negative ones), so a segment's running cycle
+   total peaks at its end. *)
+type seg = {
+  n : int;
+  c : int;
+  scls : int array;  (* class ids, first-charge order *)
+  scyc : int array;  (* cycles per class *)
+  lead_cls : int;  (* loop-iteration charge leading the segment; -1 = none *)
+  lead_cost : int;
+}
+
+(* Segment entry. The fast path applies the whole segment's charges at
+   once when no trap, injected fault or deadline check can fall inside
+   it; otherwise the segment runs in exact mode, every instruction
+   charging at its own step, so traps report the same step, location
+   and kind as per-instruction charging would. The caller clears
+   [st.exact] once the segment's closures have run. *)
+let enter st sg =
+  if st.dyn + sg.n <= st.next_event && st.cycles + sg.c <= st.max_cycles
+  then begin
+    st.cycles <- st.cycles + sg.c;
+    st.dyn <- st.dyn + sg.n;
+    let scls = sg.scls and scyc = sg.scyc in
+    for i = 0 to Array.length scls - 1 do
+      let k = Array.unsafe_get scls i in
+      Array.unsafe_set st.hist k
+        (Array.unsafe_get st.hist k + Array.unsafe_get scyc i);
+      if not (Array.unsafe_get st.seen k) then begin
+        Array.unsafe_set st.seen k true;
+        st.order <- k :: st.order
+      end
+    done
+  end
+  else begin
+    st.exact <- true;
+    if sg.lead_cls >= 0 then charge st sg.lead_cls sg.lead_cost
+  end
 
 (* ---------------- slots and plan-time environment ---------------- *)
 
@@ -476,6 +541,74 @@ let lane2_fast op =
       match (a, b) with V.Sf x, V.Sf y -> V.Sf (f x y) | _ -> g a b)
   | None -> g
 
+(* Lane loop of a SIMD binary op on two unboxed vector registers. The
+   arithmetic operators are written out inline: a call through the
+   first-class [fop] boxes both operands and the result on every lane
+   (no flambda). [Stdlib.min]/[max] are polymorphic calls either way. *)
+let simd_fill op (fop : float -> float -> float) sa sb n :
+    state -> float array -> unit =
+  match op with
+  | Mir.Badd ->
+    fun st dst ->
+      let a = Array.unsafe_get st.vbufs sa and b = Array.unsafe_get st.vbufs sb in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get a k +. Array.unsafe_get b k)
+      done
+  | Mir.Bsub ->
+    fun st dst ->
+      let a = Array.unsafe_get st.vbufs sa and b = Array.unsafe_get st.vbufs sb in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get a k -. Array.unsafe_get b k)
+      done
+  | Mir.Bmul ->
+    fun st dst ->
+      let a = Array.unsafe_get st.vbufs sa and b = Array.unsafe_get st.vbufs sb in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get a k *. Array.unsafe_get b k)
+      done
+  | Mir.Bdiv ->
+    fun st dst ->
+      let a = Array.unsafe_get st.vbufs sa and b = Array.unsafe_get st.vbufs sb in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get a k /. Array.unsafe_get b k)
+      done
+  | _ ->
+    fun st dst ->
+      let a = Array.unsafe_get st.vbufs sa and b = Array.unsafe_get st.vbufs sb in
+      for k = 0 to n - 1 do
+        Array.unsafe_set dst k (fop (Array.unsafe_get a k) (Array.unsafe_get b k))
+      done
+
+(* Reduction over an unboxed lane buffer, the sum and product loops
+   inlined for the same reason as [simd_fill]; min/max keep their
+   polymorphic-compare calls. *)
+let lane_fold (r : Mir.vreduce) : float array -> float =
+  match r with
+  | Mir.Vsum ->
+    fun x ->
+      let acc = ref (Array.unsafe_get x 0) in
+      for i = 1 to Array.length x - 1 do
+        acc := !acc +. Array.unsafe_get x i
+      done;
+      !acc
+  | Mir.Vprod ->
+    fun x ->
+      let acc = ref (Array.unsafe_get x 0) in
+      for i = 1 to Array.length x - 1 do
+        acc := !acc *. Array.unsafe_get x i
+      done;
+      !acc
+  | Mir.Vmin | Mir.Vmax ->
+    let combine : float -> float -> float =
+      if r = Mir.Vmin then min else max
+    in
+    fun x ->
+      let acc = ref (Array.unsafe_get x 0) in
+      for i = 1 to Array.length x - 1 do
+        acc := combine !acc (Array.unsafe_get x i)
+      done;
+      !acc
+
 (* Scalar binary ops, statically dispatched on the operands' runtime
    representations. Mirrors [V.binop]'s promotion rules exactly:
    complex when either side is complex; int ops when both sides are
@@ -748,14 +881,7 @@ let compile_intrin env name args : prod =
             { vlanes = la;
               vready = (fun st -> unboxed st sa && unboxed st sb);
               vcheck = (fun _ -> ());
-              vfill =
-                (fun st dst ->
-                  let a = Array.unsafe_get st.vbufs sa in
-                  let b = Array.unsafe_get st.vbufs sb in
-                  for k = 0 to la - 1 do
-                    Array.unsafe_set dst k
-                      (fop (Array.unsafe_get a k) (Array.unsafe_get b k))
-                  done);
+              vfill = simd_fill op fop sa sb la;
               vgen =
                 (fun st ->
                   let va = fa st in
@@ -892,24 +1018,18 @@ let compile_intrin env name args : prod =
         | Isa.Kreduce_min -> V.binop Mir.Bmin
         | _ -> V.binop Mir.Bmax
       in
-      let combine_f : float -> float -> float =
+      let fold =
         match desc.Isa.kind with
-        | Isa.Kreduce_add -> ( +. )
-        | Isa.Kreduce_min -> min
-        | _ -> max
+        | Isa.Kreduce_add -> lane_fold Mir.Vsum
+        | Isa.Kreduce_min -> lane_fold Mir.Vmin
+        | _ -> lane_fold Mir.Vmax
       in
       match opers with
       | [ Ov (s, _) ] ->
         Pf
           (fun st ->
             match Array.unsafe_get st.vboxs s with
-            | None ->
-              let x = Array.unsafe_get st.vbufs s in
-              let acc = ref (Array.unsafe_get x 0) in
-              for i = 1 to Array.length x - 1 do
-                acc := combine_f !acc (Array.unsafe_get x i)
-              done;
-              !acc
+            | None -> fold (Array.unsafe_get st.vbufs s)
             | Some (Value.Vector x) ->
               (* boxed escape lanes are always [Sf] (write coercion) *)
               let acc = ref x.(0) in
@@ -1026,7 +1146,16 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
         { vlanes = lanes;
           vready = (fun _ -> true);
           vcheck = (fun _ -> ());
-          vfill = (fun st dst -> Array.fill dst 0 lanes (gf st));
+          vfill =
+            (match o with
+            | Of i ->
+              (* inline loop: [Array.fill] would box the float *)
+              fun st dst ->
+                let x = Array.unsafe_get st.fregs i in
+                for k = 0 to lanes - 1 do
+                  Array.unsafe_set dst k x
+                done
+            | _ -> fun st dst -> Array.fill dst 0 lanes (gf st));
           vgen = (fun st -> Value.Vector (Array.make lanes (gs st))) }
     | o ->
       let gs = s_read o in
@@ -1041,23 +1170,11 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     in
     match oper_of env a with
     | Ov (s, _) ->
-      let combine_f : float -> float -> float =
-        match r with
-        | Mir.Vsum -> ( +. )
-        | Mir.Vprod -> ( *. )
-        | Mir.Vmin -> min
-        | Mir.Vmax -> max
-      in
+      let fold = lane_fold r in
       Pf
         (fun st ->
           match Array.unsafe_get st.vboxs s with
-          | None ->
-            let x = Array.unsafe_get st.vbufs s in
-            let acc = ref (Array.unsafe_get x 0) in
-            for i = 1 to Array.length x - 1 do
-              acc := combine_f !acc (Array.unsafe_get x i)
-            done;
-            !acc
+          | None -> fold (Array.unsafe_get st.vbufs s)
           | Some (Value.Vector x) ->
             let acc = ref x.(0) in
             for i = 1 to Array.length x - 1 do
@@ -1147,7 +1264,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
     | Ov _ | Og _ -> None
   in
   let wr st re im =
-    charge st cls cost;
+    echarge st cls cost;
     Array.unsafe_set st.cregs (2 * d) re;
     Array.unsafe_set st.cregs ((2 * d) + 1) im
   in
@@ -1163,7 +1280,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           let ca = Array.unsafe_get st.carrs k in
           let re = Array.unsafe_get ca (2 * i) in
           let im = Array.unsafe_get ca ((2 * i) + 1) in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) re;
           Array.unsafe_set st.cregs ((2 * d) + 1) im)
     | _ -> None)
@@ -1174,7 +1291,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let re = Array.unsafe_get st.cregs (2 * s) in
           let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) re;
           Array.unsafe_set st.cregs ((2 * d) + 1) im)
     | o -> (
@@ -1196,7 +1313,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let re = Array.unsafe_get st.fregs a in
           let im = Array.unsafe_get st.fregs b in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) re;
           Array.unsafe_set st.cregs ((2 * d) + 1) im)
     | ((Of _ | Oi _ | Ob _) as oa), ((Of _ | Oi _ | Ob _) as ob) ->
@@ -1222,7 +1339,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) (ar +. br);
             Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
       | Mir.Bsub ->
@@ -1233,7 +1350,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) (ar -. br);
             Array.unsafe_set cr ((2 * d) + 1) (ai -. bi))
       | Mir.Bmul ->
@@ -1244,7 +1361,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
             Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
       | _ -> None)
@@ -1292,7 +1409,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
             Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
       | Isa.Kcadd, [ Oc sa; Oc sb ] ->
@@ -1303,7 +1420,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) (ar +. br);
             Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
       | Isa.Kcmac, [ Oc sc; Oc sa; Oc sb ] ->
@@ -1316,7 +1433,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
             let ai = Array.unsafe_get cr ((2 * sa) + 1) in
             let br = Array.unsafe_get cr (2 * sb) in
             let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set cr (2 * d) (cr0 +. ((ar *. br) -. (ai *. bi)));
             Array.unsafe_set cr
               ((2 * d) + 1)
@@ -1365,7 +1482,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
    fused text mirrors the generic path term-for-term are taken
    ([min]/[max] keep their polymorphic-compare semantics, so they stay
    on the closure path); everything else returns [None]. *)
-let compile_fdef env d rv cls cost : (state -> unit) option =
+let compile_fdef env d rv prod cls cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
@@ -1399,7 +1516,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = x +. y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | Mir.Bsub when not both_int ->
         Some
@@ -1417,7 +1534,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = x -. y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | Mir.Bmul when not both_int ->
         Some
@@ -1435,7 +1552,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = x *. y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | Mir.Bmod when not both_int ->
         Some
@@ -1453,7 +1570,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = if y = 0.0 then x else Float.rem x y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | Mir.Bdiv ->
         Some
@@ -1471,7 +1588,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = x /. y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | Mir.Bpow ->
         Some
@@ -1489,7 +1606,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
               | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
             in
             let r = x ** y in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d r)
       | _ -> None)
     | _ -> None)
@@ -1505,7 +1622,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
           (fun st ->
             let i = gi st in
             let x = Array.unsafe_get (Array.unsafe_get st.farrs k) i in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d x)
       | AKi | AKb | AKc -> None))
   | Mir.Rmove a -> (
@@ -1514,7 +1631,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
       Some
         (fun st ->
           let x = Array.unsafe_get st.fregs s in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.fregs d x)
     | _ -> None)
   | Mir.Runop (op, a) -> (
@@ -1525,21 +1642,42 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
         Some
           (fun st ->
             let x = -.Array.unsafe_get st.fregs s in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d x)
       | Mir.Uabs ->
         Some
           (fun st ->
             let x = Float.abs (Array.unsafe_get st.fregs s) in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d x)
       | Mir.Ure | Mir.Uconj ->
         Some
           (fun st ->
             let x = Array.unsafe_get st.fregs s in
-            charge st cls cost;
+            echarge st cls cost;
             Array.unsafe_set st.fregs d x)
       | Mir.Unot | Mir.Uim -> None)
+    | _ -> None)
+  | Mir.Rvreduce (Mir.Vsum, a) -> (
+    (* The vectorizer's reduction epilogue: the lanes sum straight into
+       the float register; a boxed escape takes the generic producer. *)
+    match (oper_of env a, prod) with
+    | Ov (s, _), Pf boxed ->
+      Some
+        (fun st ->
+          let x =
+            match Array.unsafe_get st.vboxs s with
+            | None ->
+              let b = Array.unsafe_get st.vbufs s in
+              let acc = ref (Array.unsafe_get b 0) in
+              for i = 1 to Array.length b - 1 do
+                acc := !acc +. Array.unsafe_get b i
+              done;
+              !acc
+            | Some _ -> boxed st
+          in
+          echarge st cls cost;
+          Array.unsafe_set st.fregs d x)
     | _ -> None)
   | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
   | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
@@ -1547,72 +1685,184 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
 
 (* ---------------- instruction compilation ---------------- *)
 
-let rec compile_block env (block : Mir.block) : state -> unit =
-  match List.map (compile_instr env) block with
+(* A compiled instruction: a straight-line one carries its static
+   charge (class id, or -1 when it charges nothing, and cycles) so its
+   segment can be charged in bulk; control flow ends a segment. *)
+type step = Straight of int * int * (state -> unit) | Control of (state -> unit)
+
+(* Block builders collect closures newest first; these sequence such a
+   list in execution order. *)
+let seq_rev (rev : (state -> unit) list) : state -> unit =
+  match rev with
   | [] -> fun _ -> ()
   | [ f ] -> f
-  | [ f1; f2 ] ->
+  | [ f2; f1 ] ->
     fun st ->
       f1 st;
       f2 st
-  | [ f1; f2; f3 ] ->
+  | [ f3; f2; f1 ] ->
     fun st ->
       f1 st;
       f2 st;
       f3 st
-  | fs ->
-    let a = Array.of_list fs in
+  | rev ->
+    let a = Array.of_list (List.rev rev) in
     let n = Array.length a in
     fun st ->
       for i = 0 to n - 1 do
         (Array.unsafe_get a i) st
       done
 
-and compile_instr env (instr : Mir.instr) : state -> unit =
-  let f = compile_desc env instr.Mir.idesc in
-  if not env.profile then f
-  else begin
-    (* Per-instruction attribution wrapper, compiled in only for
-       profiled plans so the normal hot path carries zero residue.
-       Self cost = this instruction's charge delta minus whatever inner
-       (nested) wrappers already attributed, tracked through the
-       collector's [attr_*] running totals; recorded on the exception
-       path too, so breaks, returns and traps leave per-line sums equal
-       to the engine's cycle total. *)
-    let line = Mir.line_of instr in
-    let intrin =
-      match instr.Mir.idesc with
-      | Mir.Idef (_, Mir.Rintrin (name, _)) -> Some name
-      | _ -> None
-    in
+let segment_rev sg (rev : (state -> unit) list) : state -> unit =
+  match rev with
+  | [ f ] ->
     fun st ->
-      match st.pcol with
-      | None -> f st
-      | Some col ->
-        let c0 = st.cycles and d0 = st.dyn in
-        let a0 = col.Masc_obs.Profile.attr_cycles
-        and ad0 = col.Masc_obs.Profile.attr_instrs in
-        let fin () =
-          let tc = st.cycles - c0 and td = st.dyn - d0 in
-          let self_c = tc - (col.Masc_obs.Profile.attr_cycles - a0)
-          and self_d = td - (col.Masc_obs.Profile.attr_instrs - ad0) in
-          Masc_obs.Profile.add_line col line ~cycles:self_c ~instrs:self_d;
-          (match intrin with
-          | Some name ->
-            Masc_obs.Profile.add_intrin col name ~cycles:self_c
-              ~instrs:self_d
-          | None -> ());
-          col.Masc_obs.Profile.attr_cycles <- a0 + tc;
-          col.Masc_obs.Profile.attr_instrs <- ad0 + td
-        in
-        (match f st with
-        | () -> fin ()
-        | exception e ->
-          fin ();
-          raise e)
-  end
+      enter st sg;
+      f st;
+      st.exact <- false
+  | rev ->
+    let a = Array.of_list (List.rev rev) in
+    let n = Array.length a in
+    fun st ->
+      enter st sg;
+      for i = 0 to n - 1 do
+        (Array.unsafe_get a i) st
+      done;
+      st.exact <- false
 
-and compile_desc env (desc : Mir.instr_desc) : state -> unit =
+(* Does [b] raise [Break_exc] (resp. [Continue_exc]) to the loop whose
+   body it is? Nested loops catch their own breaks; a continue in a
+   nested while's condition block escapes to the enclosing loop, as in
+   the tree-walker. *)
+let rec breaks_out (b : Mir.block) =
+  List.exists
+    (fun (i : Mir.instr) ->
+      match i.Mir.idesc with
+      | Mir.Ibreak -> true
+      | Mir.Iif (_, t, e) -> breaks_out t || breaks_out e
+      | _ -> false)
+    b
+
+let rec continues_out (b : Mir.block) =
+  List.exists
+    (fun (i : Mir.instr) ->
+      match i.Mir.idesc with
+      | Mir.Icontinue -> true
+      | Mir.Iif (_, t, e) -> continues_out t || continues_out e
+      | Mir.Iwhile { cond_block; _ } -> continues_out cond_block
+      | _ -> false)
+    b
+
+(* Loop handlers, installed only when the body can raise to them. *)
+let catch_continue body (f : state -> unit) : state -> unit =
+  if continues_out body then fun st -> try f st with Continue_exc -> ()
+  else f
+
+let catch_break body (f : state -> unit) : state -> unit =
+  if breaks_out body then fun st -> try f st with Break_exc -> () else f
+
+let close_segment lead_cost items fs n c cl lcls =
+  match fs with
+  | _ when n > 0 ->
+    (* [cl] is newest first: fill the arrays from the end *)
+    let k = List.length cl in
+    let scls = Array.make k 0 and scyc = Array.make k 0 in
+    List.iteri
+      (fun i (cls, r) ->
+        scls.(k - 1 - i) <- cls;
+        scyc.(k - 1 - i) <- !r)
+      cl;
+    segment_rev { n; c; scls; scyc; lead_cls = lcls; lead_cost } fs
+    :: items
+  | [] -> items
+  | fs -> seq_rev fs :: items
+
+(* [lead] is a for loop's per-iteration charge, paid before its body:
+   it joins the body's first segment so an iteration enters one
+   segment, not two. Profiled plans keep one closure per instruction,
+   each charging at its own step under its attribution wrapper. *)
+let rec compile_block ?lead env (block : Mir.block) : state -> unit =
+  if env.profile then
+    let rev = List.rev_map (profiled_instr env) block in
+    match lead with
+    | Some (cls, cost) -> seq_rev (rev @ [ (fun st -> charge st cls cost) ])
+    | None -> seq_rev rev
+  else
+    match lead with
+    | Some (cls, cost) ->
+      block_items env cost [] [] 1 cost [ (cls, ref cost) ] cls block
+    | None -> block_items env 0 [] [] 0 0 [] (-1) block
+
+(* One pass over a block: compile each instruction, accumulating the
+   open segment — its closures [fs] (newest first), [n] charges, [c]
+   cycles, per-class cycles [cl] (newest first) and the lead's class
+   [lcls] — and close it into [items] at each control-flow instruction
+   and at the end. *)
+and block_items env lead_cost items fs n c cl lcls = function
+  | [] -> seq_rev (close_segment lead_cost items fs n c cl lcls)
+  | (i : Mir.instr) :: rest -> (
+    match compile_desc env i.Mir.idesc with
+    | Straight (cls, cost, f) ->
+      if cls < 0 then block_items env lead_cost items (f :: fs) n c cl lcls rest
+      else begin
+        let cl =
+          match List.assq_opt cls cl with
+          | Some r ->
+            r := !r + cost;
+            cl
+          | None -> (cls, ref cost) :: cl
+        in
+        block_items env lead_cost items (f :: fs) (n + 1) (c + cost) cl lcls
+          rest
+      end
+    | Control f ->
+      let items = close_segment lead_cost items fs n c cl lcls in
+      block_items env lead_cost (f :: items) [] 0 0 [] (-1) rest)
+
+and profiled_instr env (instr : Mir.instr) : state -> unit =
+  let f =
+    match compile_desc env instr.Mir.idesc with
+    | Straight (_, _, f) | Control f -> f
+  in
+  (* Per-instruction attribution wrapper, compiled in only for
+     profiled plans so the normal hot path carries zero residue.
+     Self cost = this instruction's charge delta minus whatever inner
+     (nested) wrappers already attributed, tracked through the
+     collector's [attr_*] running totals; recorded on the exception
+     path too, so breaks, returns and traps leave per-line sums equal
+     to the engine's cycle total. *)
+  let line = Mir.line_of instr in
+  let intrin =
+    match instr.Mir.idesc with
+    | Mir.Idef (_, Mir.Rintrin (name, _)) -> Some name
+    | _ -> None
+  in
+  fun st ->
+    match st.pcol with
+    | None -> f st
+    | Some col ->
+      let c0 = st.cycles and d0 = st.dyn in
+      let a0 = col.Masc_obs.Profile.attr_cycles
+      and ad0 = col.Masc_obs.Profile.attr_instrs in
+      let fin () =
+        let tc = st.cycles - c0 and td = st.dyn - d0 in
+        let self_c = tc - (col.Masc_obs.Profile.attr_cycles - a0)
+        and self_d = td - (col.Masc_obs.Profile.attr_instrs - ad0) in
+        Masc_obs.Profile.add_line col line ~cycles:self_c ~instrs:self_d;
+        (match intrin with
+        | Some name ->
+          Masc_obs.Profile.add_intrin col name ~cycles:self_c ~instrs:self_d
+        | None -> ());
+        col.Masc_obs.Profile.attr_cycles <- a0 + tc;
+        col.Masc_obs.Profile.attr_instrs <- ad0 + td
+      in
+      (match f st with
+      | () -> fin ()
+      | exception e ->
+        fin ();
+        raise e)
+
+and compile_desc env (desc : Mir.instr_desc) : step =
   match desc with
   | Mir.Idef (v, rv) -> (
     let prod = compile_rvalue env rv in
@@ -1622,6 +1872,7 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
     let cost_opt = Cost.def_cost_opt env.isa env.mode rv in
     let cost = match cost_opt with Some c -> c | None -> 0 in
     let sty = Mir.elem_ty v in
+    Straight (cls, cost,
     match slot_of env v with
     | Sarr _ ->
       (* the tree-walker fails when it fetches the target as a register,
@@ -1633,11 +1884,11 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
       in
       fun st ->
         let _value = g st in
-        charge st cls cost;
+        echarge st cls cost;
         raise (Runtime_error msg)
     | Sreg (Rf d) -> (
       let fused =
-        if cost_opt = None then None else compile_fdef env d rv cls cost
+        if cost_opt = None then None else compile_fdef env d rv prod cls cost
       in
       match fused with
       | Some f -> f
@@ -1648,22 +1899,22 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
       | Pf f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.fregs d x
       | Pi f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.fregs d (float_of_int x)
       | Pb f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.fregs d (if x then 1.0 else 0.0)
       | Pc f ->
         fun st ->
           let z = f st in
-          charge st cls cost;
+          echarge st cls cost;
           if z.Complex.im = 0.0 then Array.unsafe_set st.fregs d z.Complex.re
           else
             invalid_arg "Value.to_float: complex with non-zero imaginary part"
@@ -1671,35 +1922,35 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value))))
     | Sreg (Ri d) -> (
       match prod with
       | Pi f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.iregs d x
       | Pf f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.iregs d (int_of_float (Float.round x))
       | Pb f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.iregs d (if x then 1 else 0)
       | Pc f ->
         fun st ->
           let _z = f st in
-          charge st cls cost;
+          echarge st cls cost;
           invalid_arg "Value.coerce: complex into int"
       | (Pv _ | Pg _) as p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.iregs d
             (Store.coerce_int_exn (scalar_of_value value)))
     | Sreg (Rb d) -> (
@@ -1707,28 +1958,28 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
       | Pb f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.bregs d x
       | Pf f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.bregs d (x <> 0.0)
       | Pi f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.bregs d (x <> 0)
       | Pc f ->
         fun st ->
           let z = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.bregs d (Complex.norm z <> 0.0)
       | (Pv _ | Pg _) as p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
     | Sreg (Rc d) -> (
       let fused =
@@ -1745,31 +1996,31 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
       | Pc f ->
         fun st ->
           let z = f st in
-          charge st cls cost;
+          echarge st cls cost;
           set st z
       | Pf f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) x;
           Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
       | Pi f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) (float_of_int x);
           Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
       | Pb f ->
         fun st ->
           let x = f st in
-          charge st cls cost;
+          echarge st cls cost;
           Array.unsafe_set st.cregs (2 * d) (if x then 1.0 else 0.0);
           Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
       | (Pv _ | Pg _) as p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
-          charge st cls cost;
+          echarge st cls cost;
           set st (V.to_complex (scalar_of_value value))))
     | Sreg (Rv (d, lanes)) -> (
       match prod with
@@ -1777,31 +2028,31 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
         fun st ->
           if vp.vready st then begin
             vp.vcheck st;
-            charge st cls cost;
+            echarge st cls cost;
             vp.vfill st (Array.unsafe_get st.vbufs d);
             Array.unsafe_set st.vboxs d None
           end
           else begin
             let value = vp.vgen st in
-            charge st cls cost;
+            echarge st cls cost;
             write_vreg st d lanes sty value
           end
       | p ->
         let g = gen_of_prod p in
         fun st ->
           let value = g st in
-          charge st cls cost;
+          echarge st cls cost;
           write_vreg st d lanes sty value)
     | Sreg (Rg d) ->
       let g = gen_of_prod prod in
       let co = coerce_fast sty in
       fun st ->
         let value = g st in
-        charge st cls cost;
-        Array.unsafe_set st.gregs d (co value))
+        echarge st cls cost;
+        Array.unsafe_set st.gregs d (co value)))
   | Mir.Istore (a, idx, x) -> (
     match arr_ref env a with
-    | Error msg -> fun _ -> raise (Runtime_error msg)
+    | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
       let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
       let ox = oper_of env x in
@@ -1811,6 +2062,7 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
         Cost.store_cost env.isa env.mode ~cplx:(sty.Mir.cplx = MT.Complex)
       in
       let k = aslot.aidx in
+      Straight (cls, cost,
       match aslot.bank with
       | AKf -> (
         match ox with
@@ -1822,28 +2074,28 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
               (Array.unsafe_get st.farrs k)
               i
               (Array.unsafe_get st.fregs s);
-            charge st cls cost
+            echarge st cls cost
         | _ ->
           let gx = f_read ox in
           fun st ->
             let i = gi st in
             let x = gx st in
             Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
-            charge st cls cost)
+            echarge st cls cost)
       | AKi ->
         let gx = ci_read ox in
         fun st ->
           let i = gi st in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.iarrs k) i x;
-          charge st cls cost
+          echarge st cls cost
       | AKb ->
         let gx = b_read ox in
         fun st ->
           let i = gi st in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.barrs k) i x;
-          charge st cls cost
+          echarge st cls cost
       | AKc -> (
         match ox with
         | Oc s ->
@@ -1855,7 +2107,7 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
             let ca = Array.unsafe_get st.carrs k in
             Array.unsafe_set ca (2 * i) re;
             Array.unsafe_set ca ((2 * i) + 1) im;
-            charge st cls cost
+            echarge st cls cost
         | _ ->
           let gx = c_read ox in
           fun st ->
@@ -1864,10 +2116,10 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
             let ca = Array.unsafe_get st.carrs k in
             Array.unsafe_set ca (2 * i) z.Complex.re;
             Array.unsafe_set ca ((2 * i) + 1) z.Complex.im;
-            charge st cls cost)))
+            echarge st cls cost))))
   | Mir.Ivstore (a, base, x, lanes) -> (
     match arr_ref env a with
-    | Error msg -> fun _ -> raise (Runtime_error msg)
+    | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
       let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
       let gb = index_fn env base ~len ~what:name in
@@ -1903,10 +2155,11 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
           for j = 0 to lanes - 1 do
             set_elem st (b + j) (Array.unsafe_get vec j)
           done;
-          charge st cls cost
+          echarge st cls cost
         | Value.Vector _ -> fail "vector store width mismatch"
         | Value.Scalar _ -> fail "vector store of a scalar"
       in
+      Straight (cls, cost,
       match (aslot.bank, ox) with
       | AKf, Ov (s, vl) ->
         (* The dominant vectorized shape: unboxed register into a
@@ -1922,7 +2175,7 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
                 0
                 (Array.unsafe_get st.farrs k)
                 b lanes;
-              charge st cls cost
+              echarge st cls cost
             end
             else fail "vector store width mismatch"
           | Some v -> store_boxed st b v)
@@ -1931,36 +2184,37 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
         fun st ->
           let b = gb st in
           if b + lanes > len then fail "vector store past end of %s" name;
-          store_boxed st b (gx st)))
+          store_boxed st b (gx st))))
   | Mir.Iif (c, then_b, else_b) ->
     let gc = b_read (oper_of env c) in
     let ft = compile_block env then_b and fe = compile_block env else_b in
     let cls = class_id env "branch" in
     let cost = Cost.branch_cost env.isa in
-    fun st ->
-      charge st cls cost;
-      if gc st then ft st else fe st
+    Control
+      (fun st ->
+        charge st cls cost;
+        if gc st then ft st else fe st)
   | Mir.Iloop { ivar; lo; step; hi; body } ->
-    compile_loop env ivar lo step hi body
+    Control (compile_loop env ivar lo step hi body)
   | Mir.Iwhile { cond_block; cond; body } ->
     let fcond_b = compile_block env cond_block in
     let gc = b_read (oper_of env cond) in
-    let fbody = compile_block env body in
+    let fbody = catch_continue body (compile_block env body) in
     let cls = class_id env "branch" in
     let cost = Cost.branch_cost env.isa in
-    fun st ->
-      (try
-         let continue_ = ref true in
-         while !continue_ do
-           fcond_b st;
-           charge st cls cost;
-           if gc st then (try fbody st with Continue_exc -> ())
-           else continue_ := false
-         done
-       with Break_exc -> ())
-  | Mir.Ibreak -> fun _ -> raise Break_exc
-  | Mir.Icontinue -> fun _ -> raise Continue_exc
-  | Mir.Ireturn -> fun _ -> raise Return_exc
+    let run st =
+      let continue_ = ref true in
+      while !continue_ do
+        fcond_b st;
+        charge st cls cost;
+        if gc st then fbody st else continue_ := false
+      done
+    in
+    (* a break in the condition block also ends this loop *)
+    Control (catch_break (cond_block @ body) run)
+  | Mir.Ibreak -> Control (fun _ -> raise Break_exc)
+  | Mir.Icontinue -> Control (fun _ -> raise Continue_exc)
+  | Mir.Ireturn -> Control (fun _ -> raise Return_exc)
   | Mir.Iprint (fmt, ops) -> (
     let fetchers =
       List.map
@@ -1978,6 +2232,7 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
         ops
     in
     let flatten st = List.concat_map (fun fetch -> fetch st) fetchers in
+    Straight (-1, 0,
     match fmt with
     | Some f -> fun st -> Buffer.add_string st.out (render_format f (flatten st))
     | None ->
@@ -1986,18 +2241,20 @@ and compile_desc env (desc : Mir.instr_desc) : state -> unit =
           (fun s ->
             Buffer.add_string st.out (Format.asprintf "%a " V.pp_scalar s))
           (flatten st);
-        Buffer.add_char st.out '\n')
+        Buffer.add_char st.out '\n'))
   | Mir.Icomment text ->
     if String.length text >= 6 && String.sub text 0 6 = "inline" then (
       let cls = class_id env "call" in
       let cost = Cost.call_boundary_cost env.isa env.mode in
-      fun st -> charge st cls cost)
-    else fun _ -> ()
+      Straight (cls, cost, fun st -> echarge st cls cost))
+    else Straight (-1, 0, fun _ -> ())
 
 and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
-  let fbody = compile_block env body in
   let lcls = class_id env "loop" in
   let lcost = Cost.loop_iter_cost env.isa in
+  let fbody =
+    catch_continue body (compile_block ~lead:(lcls, lcost) env body)
+  in
   let bcls = class_id env "branch" in
   let bcost = Cost.branch_cost env.isa in
   let ivslot = slot_of env ivar in
@@ -2024,30 +2281,30 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
        runtime [int_loop] test is true and induction values are raw
        [Si] — matching the variable's Int slot. Fully unboxed. *)
     let gl = i_read olo and gs = i_read ostep and gh = i_read ohi in
+    let iterate =
+      catch_break body (fun st ->
+          let l = gl st in
+          let s = gs st in
+          let h = gh st in
+          if s >= 0 then begin
+            let v = ref l in
+            while !v <= h do
+              Array.unsafe_set st.iregs iv !v;
+              fbody st;
+              v := !v + s
+            done
+          end
+          else begin
+            let v = ref l in
+            while !v >= h do
+              Array.unsafe_set st.iregs iv !v;
+              fbody st;
+              v := !v + s
+            done
+          end)
+    in
     fun st ->
-      let l = gl st in
-      let s = gs st in
-      let h = gh st in
-      (try
-         if s >= 0 then begin
-           let v = ref l in
-           while !v <= h do
-             Array.unsafe_set st.iregs iv !v;
-             charge st lcls lcost;
-             (try fbody st with Continue_exc -> ());
-             v := !v + s
-           done
-         end
-         else begin
-           let v = ref l in
-           while !v >= h do
-             Array.unsafe_set st.iregs iv !v;
-             charge st lcls lcost;
-             (try fbody st with Continue_exc -> ());
-             v := !v + s
-           done
-         end
-       with Break_exc -> ());
+      iterate st;
       charge st bcls bcost
   | Sreg (Rf iv), `Float ->
     (* At least one bound is statically Sf, so [int_loop] is false and
@@ -2058,27 +2315,27 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
        its own saved value too). *)
     let gl = f_read olo and gs = f_read ostep and gh = f_read ohi in
     let sh = fshadow env in
+    let iterate =
+      catch_break body (fun st ->
+          let fr = st.fregs in
+          Array.unsafe_set fr sh (gl st);
+          let s = gs st in
+          let h = gh st in
+          if s >= 0.0 then
+            while Array.unsafe_get fr sh <= h do
+              Array.unsafe_set fr iv (Array.unsafe_get fr sh);
+              fbody st;
+              Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
+            done
+          else
+            while Array.unsafe_get fr sh >= h do
+              Array.unsafe_set fr iv (Array.unsafe_get fr sh);
+              fbody st;
+              Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
+            done)
+    in
     fun st ->
-      let fr = st.fregs in
-      Array.unsafe_set fr sh (gl st);
-      let s = gs st in
-      let h = gh st in
-      (try
-         if s >= 0.0 then
-           while Array.unsafe_get fr sh <= h do
-             Array.unsafe_set fr iv (Array.unsafe_get fr sh);
-             charge st lcls lcost;
-             (try fbody st with Continue_exc -> ());
-             Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
-           done
-         else
-           while Array.unsafe_get fr sh >= h do
-             Array.unsafe_set fr iv (Array.unsafe_get fr sh);
-             charge st lcls lcost;
-             (try fbody st with Continue_exc -> ());
-             Array.unsafe_set fr sh (Array.unsafe_get fr sh +. s)
-           done
-       with Break_exc -> ());
+      iterate st;
       charge st bcls bcost
   | ivslot, _ ->
     (* General path: boxed bounds, runtime int/float dispatch, raw
@@ -2088,6 +2345,7 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
     let glo = s_read olo
     and gstep = s_read ostep
     and ghi = s_read ohi in
+    let brk = breaks_out body in
     let iv_write =
       match ivslot with
       | Sreg (Rg s) -> fun st v -> Array.unsafe_set st.gregs s v
@@ -2128,12 +2386,11 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
       let rec go v =
         if continue_loop v then begin
           iv_write st (Value.Scalar v);
-          charge st lcls lcost;
-          (try fbody st with Continue_exc -> ());
+          fbody st;
           go (next v)
         end
       in
-      (try go lo_v with Break_exc -> ());
+      if brk then (try go lo_v with Break_exc -> ()) else go lo_v;
       charge st bcls bcost
 
 (* ---------------- whole-function plans ---------------- *)
@@ -2471,6 +2728,10 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
     | None -> (0, -1)
   in
   let ncls = Array.length p.classes in
+  let guard_on = Masc_fault.Cancel.armed () in
+  (* No fuel trap up to [fuel] steps, no injected fault before
+     [fault_step]. *)
+  let base_event = if fault_step > 0 then min fuel (fault_step - 1) else fuel in
   (* Fresh typed state. Unwritten registers read as the zero of their
      declared type, like the tree-walker's lazily-created cells;
      parameter arrays are replaced whole by binding, so skip the fill. *)
@@ -2510,9 +2771,13 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       pcol = profile;
       pon = profile <> None;
       pcnt = (if profile = None then [||] else Array.make ncls 0);
-      guard_on = Masc_fault.Cancel.armed ();
+      guard_on;
       fault_step = fault_step;
-      fault_occ = fault_occ }
+      fault_occ = fault_occ;
+      base_event;
+      next_event =
+        (if guard_on then min base_event Exec.guard_mask else base_event);
+      exact = p.profiled }
   in
   Array.iter (fun (i, v) -> st.fregs.(i) <- v) p.finit;
   Array.iter (fun (i, v) -> st.iregs.(i) <- v) p.iinit;

@@ -407,12 +407,243 @@ let test_plan_reuse () =
   Alcotest.(check bool) "histograms equal" true (r1.I.histogram = r2.I.histogram);
   Alcotest.(check bool) "values equal" true (compare r1.I.rets r2.I.rets = 0)
 
+(* --- plan back end: exact traps under segment charging --- *)
+
+(* What a run ended with, compared between the engines: every field of
+   a finished run, or the trap or injected fault that stopped it. *)
+let outcome run =
+  match run () with
+  | (r : I.result) ->
+    `Done (r.I.cycles, r.I.dyn_instrs, r.I.histogram, r.I.output, r.I.rets)
+  | exception Masc_vm.Exec.Trap { kind; loc; steps_executed } ->
+    `Trap (kind, loc, steps_executed)
+  | exception Masc_fault.Fault.Injected { site; occurrence } ->
+    `Fault (site, occurrence)
+
+let same_outcome a b = compare a b = 0
+
+(* Small kernels, so that every step of every run can be a trap point:
+   scalar and dsp8, proposed flow and coder baseline. *)
+let small_configs () =
+  let module K = Masc_kernels.Kernels in
+  let module C = Masc.Compiler in
+  List.concat_map
+    (fun (k : K.kernel) ->
+      List.concat_map
+        (fun (tname, isa) ->
+          List.map
+            (fun (fname, (cfg : C.config)) ->
+              let c =
+                C.compile cfg ~source:k.K.source ~entry:k.K.entry
+                  ~arg_types:k.K.arg_types
+              in
+              ( Printf.sprintf "%s/%s/%s" k.K.kname tname fname,
+                c.C.mir, isa, cfg.C.mode, k.K.inputs () ))
+            [ ("proposed", C.proposed ~isa ());
+              ("coder", C.coder_baseline ~isa ()) ])
+        [ ("scalar", T.scalar); ("dsp8", T.dsp8) ])
+    [ K.fir ~n:12 ~m:4 (); K.iir ~n:8 ~sections:2 (); K.fft ~n:8 ();
+      K.matmul ~n:3 (); K.xcorr ~n:12 ~m:4 () ]
+
+(* The plan charges a straight-line segment at once when no trap can
+   fall inside it, and per instruction otherwise. Trap the run at every
+   dynamic step, by fuel and by cycle limit: the plan must stop at the
+   same step, with the same trap, as the per-instruction tree-walker. *)
+let test_trap_every_step () =
+  List.iter
+    (fun (tag, mir, isa, mode, inputs) ->
+      let tree ?fuel ?max_cycles ?profile () =
+        I.run_tree ?fuel ?max_cycles ?profile ~isa ~mode mir inputs
+      in
+      let plan ?fuel ?max_cycles () =
+        I.run ?fuel ?max_cycles ~isa ~mode mir inputs
+      in
+      let total = (tree ()).I.dyn_instrs in
+      (* cycles.(k): cumulative cycles after step k, read from the
+         tree-walker's profile of the run that traps at step k *)
+      let cycles = Array.make (total + 1) 0 in
+      for fuel = 0 to total do
+        let col = Masc_obs.Profile.create () in
+        let t = outcome (tree ~fuel ~profile:col) in
+        let p = outcome (plan ~fuel) in
+        if not (same_outcome t p) then
+          Alcotest.failf "%s: fuel %d: plan and tree-walker differ" tag fuel;
+        if fuel < total then
+          cycles.(fuel + 1) <-
+            Hashtbl.fold
+              (fun _ (e : Masc_obs.Profile.entry) acc -> acc + e.e_cycles)
+              col.Masc_obs.Profile.classes 0
+      done;
+      let limits = Hashtbl.create 64 in
+      Array.iter
+        (fun c ->
+          Hashtbl.replace limits (c - 1) ();
+          Hashtbl.replace limits c ())
+        cycles;
+      Hashtbl.iter
+        (fun max_cycles () ->
+          if
+            not
+              (same_outcome
+                 (outcome (tree ~max_cycles))
+                 (outcome (plan ~max_cycles)))
+          then
+            Alcotest.failf "%s: max_cycles %d: plan and tree-walker differ" tag
+              max_cycles)
+        limits)
+    (small_configs ())
+
+(* An injected sim.step fault fires at a seed-chosen step in [1, 2048]:
+   both engines fail at the same occurrence, or both complete alike. *)
+let test_fault_every_seed () =
+  Fun.protect ~finally:Masc_fault.Fault.disable (fun () ->
+      List.iter
+        (fun (tag, mir, isa, mode, inputs) ->
+          for seed = 0 to 63 do
+            let armed run =
+              Masc_fault.Fault.configure ~seed [ ("sim.step", 1.0) ];
+              outcome run
+            in
+            let t = armed (fun () -> I.run_tree ~isa ~mode mir inputs) in
+            let p = armed (fun () -> I.run ~isa ~mode mir inputs) in
+            if not (same_outcome t p) then
+              Alcotest.failf "%s: fault seed %d: plan and tree-walker differ"
+                tag seed
+          done)
+        (small_configs ()))
+
+(* An armed deadline makes the plan test for cancellation every
+   [guard_mask]+1 steps. Far in the future, it never fires: results
+   match the unarmed run bit for bit, and fuel traps either side of the
+   first two check steps match the tree-walker's. *)
+let test_armed_deadline () =
+  let module K = Masc_kernels.Kernels in
+  let far f = Masc_fault.Cancel.with_deadline ~ms:1e9 f in
+  let g = Masc_vm.Exec.guard_mask + 1 in
+  List.iter
+    (fun (k : K.kernel) ->
+      List.iter
+        (fun (tname, isa) ->
+          let cfg = Masc.Compiler.proposed ~isa () in
+          let c =
+            Masc.Compiler.compile cfg ~source:k.K.source ~entry:k.K.entry
+              ~arg_types:k.K.arg_types
+          in
+          let mir = c.Masc.Compiler.mir and mode = cfg.Masc.Compiler.mode in
+          let inputs = k.K.inputs () in
+          let tag = k.K.kname ^ "/" ^ tname in
+          let plan ?fuel () = I.run ?fuel ~isa ~mode mir inputs in
+          if not (same_outcome (outcome plan) (outcome (fun () -> far plan)))
+          then Alcotest.failf "%s: armed deadline changed the run" tag;
+          List.iter
+            (fun fuel ->
+              let t =
+                outcome (fun () ->
+                    far (fun () -> I.run_tree ~fuel ~isa ~mode mir inputs))
+              in
+              let p = outcome (fun () -> far (plan ~fuel)) in
+              if not (same_outcome t p) then
+                Alcotest.failf "%s: armed, fuel %d: plan and tree-walker differ"
+                  tag fuel)
+            (List.concat_map
+               (fun b -> List.init 9 (fun i -> b - 4 + i))
+               [ g; 2 * g ]))
+        [ ("scalar", T.scalar); ("dsp8", T.dsp8) ])
+    (K.all ())
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* SIMD lane arithmetic and the reduction epilogue run on unboxed lane
+   buffers: a vectorized add/mul/mac/sum loop nest allocates nothing
+   per repetition. *)
+let test_simd_allocation_free () =
+  let src =
+    String.concat "\n"
+      [ "function [y, s] = lanes(a, b, reps)"; "y = zeros(1, 64);"; "s = 0;";
+        "for r = 1:reps";
+        "  for i = 1:64"; "    y(i) = a(i) + b(i);"; "  end";
+        "  for i = 1:64"; "    y(i) = y(i) * a(i);"; "  end";
+        "  acc = 0;";
+        "  for i = 1:64"; "    acc = acc + y(i) * b(i);"; "  end";
+        "  s = s + acc;"; "end"; "end" ]
+  in
+  let module MT = Masc_sema.Mtype in
+  let c =
+    Masc.Compiler.compile
+      (Masc.Compiler.proposed ~isa:T.dsp8 ())
+      ~source:src ~entry:"lanes"
+      ~arg_types:
+        [ MT.row_vector MT.Double 64; MT.row_vector MT.Double 64; MT.double ]
+  in
+  let mir = Masc_mir.Mir_pp.func_to_string c.Masc.Compiler.mir in
+  List.iter
+    (fun op -> Alcotest.(check bool) (op ^ " emitted") true (contains mir op))
+    [ "vadd_f64x8"; "vmul_f64x8"; "vmac_f64x8"; "vreduce.sum" ];
+  let p = Masc.Compiler.plan c in
+  let a = I.xarray_of_floats (Masc_kernels.Kernels.randoms ~seed:5 64) in
+  let words reps =
+    let args = [ a; a; I.Xscalar (V.Sf (float_of_int reps)) ] in
+    ignore (Masc_vm.Plan.execute p args);
+    let w0 = Gc.minor_words () in
+    ignore (Masc_vm.Plan.execute p args);
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0))
+    "minor words at 10 and 1000 repetitions" (words 10) (words 1000)
+
+(* Loop handlers are installed only where a break or continue can reach
+   them. A continue in a while's condition block escapes to the
+   enclosing for loop, in both engines. *)
+let test_loop_handlers () =
+  let v name vid sty = { Mir.vname = name; vid; vty = Mir.Tscalar sty } in
+  let y = v "y" 0 Mir.double_sty and i = v "i" 1 Mir.int_sty in
+  let c = v "c" 2 Mir.bool_sty and nc = v "nc" 3 Mir.bool_sty in
+  let ins = Mir.instr in
+  let add x k = ins (Mir.Idef (x, Mir.Rbin (Mir.Badd, Mir.Ovar x, k))) in
+  let body =
+    [ ins
+        (Mir.Iwhile
+           { cond_block =
+               [ ins (Mir.Idef (c, Mir.Rbin (Mir.Blt, Mir.Ovar i, Mir.Oconst (Mir.Ci 3))));
+                 ins (Mir.Idef (nc, Mir.Runop (Mir.Unot, Mir.Ovar c)));
+                 ins (Mir.Iif (Mir.Ovar nc, [ ins Mir.Icontinue ], [])) ];
+             cond = Mir.Ovar c;
+             body = [ add y (Mir.Ovar i); ins Mir.Ibreak ] });
+      add y (Mir.Oconst (Mir.Cf 10.0)) ]
+  in
+  let f =
+    { Mir.name = "handlers"; params = []; rets = [ y ]; vars = [ y; i; c; nc ];
+      body =
+        [ ins
+            (Mir.Iloop
+               { ivar = i; lo = Mir.Oconst (Mir.Ci 1); step = Mir.Oconst (Mir.Ci 1);
+                 hi = Mir.Oconst (Mir.Ci 4); body }) ] }
+  in
+  Masc_mir.Verify.check f;
+  let mode = Masc_asip.Cost_model.Proposed in
+  let t = outcome (fun () -> I.run_tree ~isa:T.scalar ~mode f []) in
+  let p = outcome (fun () -> I.run ~isa:T.scalar ~mode f []) in
+  Alcotest.(check bool) "plan matches tree-walker" true (same_outcome t p);
+  match p with
+  | `Done (_, _, _, _, [ I.Xscalar s ]) ->
+    Alcotest.(check (float 0.0)) "y" 23.0 (V.to_float s)
+  | _ -> Alcotest.fail "expected one scalar result"
+
 let plan_suites =
   [ ( "vm plan",
       [ Alcotest.test_case "hex and recycling formats" `Quick
           test_hex_and_recycling_formats;
         Alcotest.test_case "plan vs tree differential" `Slow
           test_plan_tree_differential;
-        Alcotest.test_case "plan reuse" `Quick test_plan_reuse ] ) ]
+        Alcotest.test_case "plan reuse" `Quick test_plan_reuse;
+        Alcotest.test_case "trap at every step" `Slow test_trap_every_step;
+        Alcotest.test_case "fault at every seed" `Slow test_fault_every_seed;
+        Alcotest.test_case "armed deadline" `Quick test_armed_deadline;
+        Alcotest.test_case "loop handlers" `Quick test_loop_handlers;
+        Alcotest.test_case "simd allocation-free" `Quick
+          test_simd_allocation_free ] ) ]
 
 let suites = base_suites @ extra_suites @ plan_suites
