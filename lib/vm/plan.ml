@@ -15,10 +15,15 @@
      runtime shape defies the declared type);
    - arrays are typed banks chosen by element type, complex ones
      interleaved re/im;
-   - rvalues compile to type-specialized producers: a real-double
-     [Rbin Badd] is a raw [( +. )] on unboxed loads — no tag test, no
-     [to_float], no allocation — and the dsp SIMD intrinsics
-     (simd_add/mac/vload/vstore) become straight float-array loops.
+   - operands are resolved at plan time to a bank and an index
+     ([oper]), and the common definition shapes are operand-resolved:
+     int index arithmetic, real and complex arithmetic, loads, stores,
+     and the dsp SIMD loads, broadcasts and lane ops each compile to ONE
+     closure that reads its operands straight from the banks through
+     inlined readers ([rd_f], [rd_i], [index]), computes, charges and
+     writes — no reader closure, no boxed float, no allocation.
+     Everything else goes through type-specialized producers ([prod]),
+     built only for those fallback shapes.
 
    A conservative demotion pass keeps this sound against adversarial
    MIR: any scalar variable that could dynamically receive a vector
@@ -331,6 +336,49 @@ let typed_scalar = function
 let int_like = function Oi _ | Ob _ -> true | Of _ | Oc _ | Ov _ | Og _ -> false
 let is_oc = function Oc _ -> true | _ -> false
 
+(* Operand-resolved reads. A fused closure keeps a real scalar operand
+   as a (tag, bank index) pair and reads it through [rd_f]/[rd_i].
+   ocamlopt inlines these even without flambda, so each read is a tag
+   test and a raw array load: no call, and no boxed float, where a
+   [state -> float] reader closure would cost both. *)
+let reg_tag = function
+  | Of i -> Some (0, i)
+  | Oi i -> Some (1, i)
+  | Ob i -> Some (2, i)
+  | Oc _ | Ov _ | Og _ -> None
+
+let[@inline] rd_f st tag i =
+  match tag with
+  | 0 -> Array.unsafe_get st.fregs i
+  | 1 -> float_of_int (Array.unsafe_get st.iregs i)
+  | _ -> if Array.unsafe_get st.bregs i then 1.0 else 0.0
+
+(* Int-like tags only (1 and 2). *)
+let[@inline] rd_i st tag i =
+  if tag = 1 then Array.unsafe_get st.iregs i
+  else if Array.unsafe_get st.bregs i then 1
+  else 0
+
+(* The tail of every fused definition: charge, then write. The value is
+   computed by the caller, before the charge, so an evaluation failure
+   raises first, as in the tree-walker. *)
+let[@inline] set_f st cls cost d x =
+  echarge st cls cost;
+  Array.unsafe_set st.fregs d x
+
+let[@inline] set_i st cls cost d x =
+  echarge st cls cost;
+  Array.unsafe_set st.iregs d x
+
+let[@inline] set_b st cls cost d x =
+  echarge st cls cost;
+  Array.unsafe_set st.bregs d x
+
+let[@inline] set_c st cls cost d re im =
+  echarge st cls cost;
+  Array.unsafe_set st.cregs (2 * d) re;
+  Array.unsafe_set st.cregs ((2 * d) + 1) im
+
 (* Typed conversions mirroring [V.to_float]/[to_int]/[to_bool]/
    [to_complex] exactly, including exception messages. *)
 let f_read (o : oper) : state -> float =
@@ -461,65 +509,50 @@ let boxed_array (a : aslot) : state -> Value.scalar array =
   | AKb -> fun st -> Store.scalars_of_bools st.barrs.(k)
   | AKc -> fun st -> Store.scalars_of_complex st.carrs.(k)
 
-(* Index evaluation with bounds check; constant indices are checked at
-   plan time and cost nothing at run time. *)
-let index_fn env op ~len ~what : state -> int =
-  match op with
-  | Mir.Oconst c -> (
-    let s =
-      match c with
-      | Mir.Cf f -> V.Sf f
-      | Mir.Ci i -> V.Si i
-      | Mir.Cb b -> V.Sb b
-      | Mir.Cc z -> V.Sc z
-    in
-    match V.to_int s with
-    | i ->
-      if i < 0 || i >= len then fun _ ->
-        fail "%s index %d out of bounds [0, %d)" what i len
-      else fun _ -> i
-    | exception e -> fun _ -> raise e)
-  | _ ->
-    let g = i_read (oper_of env op) in
-    fun st ->
-      let i = g st in
-      if i < 0 || i >= len then
-        fail "%s index %d out of bounds [0, %d)" what i len;
-      i
+(* A compiled array index. A real register operand (int constants
+   are pooled into one) is read through its (tag, bank index) pair and
+   converted as [V.to_int] would, inline in [index]; any other operand
+   goes through the [gen] closure. Either way the bounds check is the
+   tree-walker's, message included. *)
+type ix = { tag : int; (* [reg_tag]'s; -1 = use [gen] *)
+            slot : int; len : int; what : string; gen : state -> int }
+
+let oob what i len = fail "%s index %d out of bounds [0, %d)" what i len
+
+let index_of env op ~len ~what : ix =
+  let o = oper_of env op in
+  match reg_tag o with
+  | Some (tag, slot) -> { tag; slot; len; what; gen = (fun _ -> 0) }
+  | None -> { tag = -1; slot = 0; len; what; gen = i_read o }
+
+let[@inline] index st ix =
+  let i =
+    match ix.tag with
+    | 1 -> Array.unsafe_get st.iregs ix.slot
+    | 0 -> int_of_float (Float.round (Array.unsafe_get st.fregs ix.slot))
+    | 2 -> if Array.unsafe_get st.bregs ix.slot then 1 else 0
+    | _ -> ix.gen st
+  in
+  if i < 0 || i >= ix.len then oob ix.what i ix.len;
+  i
 
 (* ---------------- rvalue producers ---------------- *)
-
-(* A compiled vector-producing rvalue. [vgen] is the self-contained
-   exact boxed evaluation (used whenever the fast path is off); the
-   fast path runs [vready] (no side effects), then [vcheck] (raises
-   exactly the pre-charge eval failures, e.g. bounds), then [vfill]
-   into the destination lane buffer. [vfill] must be coercion-safe:
-   only reached when every element is a real float. *)
-type vprod = {
-  vlanes : int;
-  vready : state -> bool;
-  vcheck : state -> unit;
-  vfill : state -> float array -> unit;
-  vgen : state -> Value.t;
-}
 
 type prod =
   | Pf of (state -> float)
   | Pi of (state -> int)
   | Pb of (state -> bool)
   | Pc of (state -> Complex.t)
-  | Pv of vprod
-  | Pg of (state -> Value.t)
+  | Pg of (state -> Value.t)  (* boxed: vectors, demoted and failing shapes *)
 
 let gen_of_prod = function
   | Pf f -> fun st -> Value.Scalar (V.Sf (f st))
   | Pi f -> fun st -> Value.Scalar (V.Si (f st))
   | Pb f -> fun st -> Value.Scalar (V.Sb (f st))
   | Pc f -> fun st -> Value.Scalar (V.Sc (f st))
-  | Pv vp -> vp.vgen
   | Pg f -> f
 
-let unboxed st s =
+let[@inline] unboxed st s =
   match Array.unsafe_get st.vboxs s with None -> true | Some _ -> false
 
 let float_fast = function
@@ -868,82 +901,31 @@ let compile_intrin env name args : prod =
             lanewise2 f va vbv)
       | _ -> failure (Printf.sprintf "%s expects 2 operands" name)
     in
-    (* SIMD binary op on two unboxed vector registers of equal declared
-       width: a raw float loop. Any other shape (boxed escape, width
-       mismatch, scalar operand) takes the exact boxed path. *)
-    let simd2 op fop =
-      match opers with
-      | [ Ov (sa, la); Ov (sb, lb) ] when la = lb -> (
-        match vreads with
-        | [ fa; fb ] ->
-          let f = lane2_fast op in
-          Pv
-            { vlanes = la;
-              vready = (fun st -> unboxed st sa && unboxed st sb);
-              vcheck = (fun _ -> ());
-              vfill = simd_fill op fop sa sb la;
-              vgen =
-                (fun st ->
-                  let va = fa st in
-                  let vbv = fb st in
-                  lanewise2 f va vbv) }
-        | _ -> assert false)
-      | _ -> generic_bin2 op
-    in
     match desc.Isa.kind with
-    | Isa.Ksimd_add -> simd2 Mir.Badd ( +. )
-    | Isa.Ksimd_sub -> simd2 Mir.Bsub ( -. )
-    | Isa.Ksimd_mul -> simd2 Mir.Bmul ( *. )
-    | Isa.Ksimd_div -> simd2 Mir.Bdiv ( /. )
-    (* [V.binop Bmin] on two [Sf] lanes is [Sf (Stdlib.min x y)]. *)
-    | Isa.Ksimd_min -> simd2 Mir.Bmin min
-    | Isa.Ksimd_max -> simd2 Mir.Bmax max
+    | Isa.Ksimd_add -> generic_bin2 Mir.Badd
+    | Isa.Ksimd_sub -> generic_bin2 Mir.Bsub
+    | Isa.Ksimd_mul -> generic_bin2 Mir.Bmul
+    | Isa.Ksimd_div -> generic_bin2 Mir.Bdiv
+    | Isa.Ksimd_min -> generic_bin2 Mir.Bmin
+    | Isa.Ksimd_max -> generic_bin2 Mir.Bmax
     | Isa.Kmac -> (
       (* binop Bmul (Sf a) (Sf b) = Sf (a *. b), then binop Badd on two
-         Sf is Sf (+.): the fused lane below is the same float op
-         sequence. *)
+         Sf is Sf (+.): the fused lane below, like [compile_vdef]'s
+         unboxed loop, is the same float op sequence. *)
       let mac acc a b =
         match (acc, a, b) with
         | V.Sf acc, V.Sf x, V.Sf y -> V.Sf (acc +. (x *. y))
         | _ -> V.binop Mir.Badd acc (V.binop Mir.Bmul a b)
       in
-      match opers with
-      | [ Ov (sacc, l0); Ov (sa, l1); Ov (sb, l2) ] when l0 = l1 && l1 = l2
-        -> (
-        match vreads with
-        | [ facc; fa; fb ] ->
-          Pv
-            { vlanes = l0;
-              vready =
-                (fun st -> unboxed st sacc && unboxed st sa && unboxed st sb);
-              vcheck = (fun _ -> ());
-              vfill =
-                (fun st dst ->
-                  let acc = Array.unsafe_get st.vbufs sacc in
-                  let a = Array.unsafe_get st.vbufs sa in
-                  let b = Array.unsafe_get st.vbufs sb in
-                  for k = 0 to l0 - 1 do
-                    Array.unsafe_set dst k
-                      (Array.unsafe_get acc k
-                      +. (Array.unsafe_get a k *. Array.unsafe_get b k))
-                  done);
-              vgen =
-                (fun st ->
-                  let vacc = facc st in
-                  let va = fa st in
-                  let vbv = fb st in
-                  lanewise3 mac vacc va vbv) }
-        | _ -> assert false)
-      | _ -> (
-        match vreads with
-        | [ facc; fa; fb ] ->
-          Pg
-            (fun st ->
-              let vacc = facc st in
-              let va = fa st in
-              let vbv = fb st in
-              lanewise3 mac vacc va vbv)
-        | _ -> failure "mac expects 3 operands"))
+      match vreads with
+      | [ facc; fa; fb ] ->
+        Pg
+          (fun st ->
+            let vacc = facc st in
+            let va = fa st in
+            let vbv = fb st in
+            lanewise3 mac vacc va vbv)
+      | _ -> failure "mac expects 3 operands")
     | Isa.Kcmul -> (
       match opers with
       | [ oa; ob ] when typed_scalar oa && typed_scalar ob ->
@@ -1064,28 +1046,28 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     match arr_ref env a with
     | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
-      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+      let ix = index_of env idx ~len:aslot.alen ~what:a.Mir.vname in
       let k = aslot.aidx in
       match aslot.bank with
       | AKf ->
         Pf
           (fun st ->
-            let i = gi st in
+            let i = index st ix in
             Array.unsafe_get (Array.unsafe_get st.farrs k) i)
       | AKi ->
         Pi
           (fun st ->
-            let i = gi st in
+            let i = index st ix in
             Array.unsafe_get (Array.unsafe_get st.iarrs k) i)
       | AKb ->
         Pb
           (fun st ->
-            let i = gi st in
+            let i = index st ix in
             Array.unsafe_get (Array.unsafe_get st.barrs k) i)
       | AKc ->
         Pc
           (fun st ->
-            let i = gi st in
+            let i = index st ix in
             let ca = Array.unsafe_get st.carrs k in
             { Complex.re = Array.unsafe_get ca (2 * i);
               im = Array.unsafe_get ca ((2 * i) + 1) })))
@@ -1095,71 +1077,22 @@ let compile_rvalue env (rv : Mir.rvalue) : prod =
     | Oi _ as o -> Pi (i_read o)
     | Ob _ as o -> Pb (b_read o)
     | Oc _ as o -> Pc (c_read o)
-    | Og f -> Pg f
-    | Ov (s, l) ->
-      Pv
-        { vlanes = l;
-          vready = (fun st -> unboxed st s);
-          vcheck = (fun _ -> ());
-          vfill =
-            (fun st dst ->
-              Array.blit (Array.unsafe_get st.vbufs s) 0 dst 0 l);
-          vgen = (fun st -> vreg_value st s) })
+    | (Ov _ | Og _) as o -> Pg (v_read o))
   | Mir.Rvload (a, base, lanes) -> (
     match arr_ref env a with
     | Error msg -> Pg (fun _ -> raise (Runtime_error msg))
-    | Ok aslot -> (
-      let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
-      let gb = index_fn env base ~len ~what:name in
-      let check st =
-        let b = gb st in
-        if b + lanes > len then fail "vector load past end of %s" name;
-        b
-      in
-      match aslot.bank with
-      | AKf ->
-        Pv
-          { vlanes = lanes;
-            vready = (fun _ -> true);
-            vcheck = (fun st -> ignore (check st));
-            vfill =
-              (fun st dst ->
-                Array.blit (Array.unsafe_get st.farrs k) (gb st) dst 0 lanes);
-            vgen =
-              (fun st ->
-                let b = check st in
-                let arr = Array.unsafe_get st.farrs k in
-                Value.Vector
-                  (Array.init lanes (fun j ->
-                       V.Sf (Array.unsafe_get arr (b + j))))) }
-      | _ ->
-        let elem = boxed_elem aslot in
-        Pg
-          (fun st ->
-            let b = check st in
-            Value.Vector (Array.init lanes (fun j -> elem st (b + j))))))
-  | Mir.Rvbroadcast (a, lanes) -> (
-    match oper_of env a with
-    | (Of _ | Oi _ | Ob _) as o ->
-      let gf = f_read o and gs = s_read o in
-      Pv
-        { vlanes = lanes;
-          vready = (fun _ -> true);
-          vcheck = (fun _ -> ());
-          vfill =
-            (match o with
-            | Of i ->
-              (* inline loop: [Array.fill] would box the float *)
-              fun st dst ->
-                let x = Array.unsafe_get st.fregs i in
-                for k = 0 to lanes - 1 do
-                  Array.unsafe_set dst k x
-                done
-            | _ -> fun st dst -> Array.fill dst 0 lanes (gf st));
-          vgen = (fun st -> Value.Vector (Array.make lanes (gs st))) }
-    | o ->
-      let gs = s_read o in
-      Pg (fun st -> Value.Vector (Array.make lanes (gs st))))
+    | Ok aslot ->
+      let len = aslot.alen and name = a.Mir.vname in
+      let ix = index_of env base ~len ~what:name in
+      let elem = boxed_elem aslot in
+      Pg
+        (fun st ->
+          let b = index st ix in
+          if b + lanes > len then fail "vector load past end of %s" name;
+          Value.Vector (Array.init lanes (fun j -> elem st (b + j)))))
+  | Mir.Rvbroadcast (a, lanes) ->
+    let gs = s_read (oper_of env a) in
+    Pg (fun st -> Value.Vector (Array.make lanes (gs st)))
   | Mir.Rvreduce (r, a) -> (
     let combine_s =
       match r with
@@ -1235,244 +1168,125 @@ let write_vreg st d lanes sty v =
    generic producer protocol routes every complex rvalue through a
    boxed [Complex.t], allocating on each evaluation. For the shapes
    that dominate complex kernels (FFT butterflies: complex array
-   load, move, add/sub/mul, and the cmul/cmac/cadd intrinsics) the
-   whole def is a pure register/array read chain, so we can fuse it
-   into a closure that moves floats directly between banks. Anything
-   whose evaluation order or failure behaviour could observably differ
-   from the tree-walker returns [None] and takes the generic path.
-   Formulas are spelled out to match [Complex.mul]/[Complex.add]
-   term-for-term so results stay bit-identical. *)
+   load, move, add/sub/mul, conj/neg, and the cmul/cmac/cadd
+   intrinsics) the whole def is a pure register/array read chain, so we
+   can fuse it into a closure that moves floats directly between banks.
+   A real operand reads as [V.to_complex] would view it: tag 3 marks a
+   complex register, other tags are [reg_tag]'s, with a zero imaginary
+   part. Anything whose evaluation order or failure behaviour could
+   observably differ from the tree-walker returns [None] and takes the
+   generic path. Formulas are spelled out to match
+   [Complex.mul]/[Complex.add] term-for-term so results stay
+   bit-identical. *)
+let ctag = function Oc s -> Some (3, s) | o -> reg_tag o
+
+let[@inline] rd_re st tag i =
+  if tag = 3 then Array.unsafe_get st.cregs (2 * i) else rd_f st tag i
+
+let[@inline] rd_im st tag i =
+  if tag = 3 then Array.unsafe_get st.cregs ((2 * i) + 1) else 0.0
+
 let compile_cdef env d rv cls cost : (state -> unit) option =
-  (* Per-component reader closures for operands whose complex view is a
-     pure read: registers convert exactly as [V.to_complex] would. Used
-     by the mixed-representation fused cases; the all-complex cases
-     below read the banks inline instead (a [state -> float] closure
-     call boxes its result, an inlined [Array.unsafe_get] does not). *)
-  let comp = function
-    | Of i -> Some ((fun st -> Array.unsafe_get st.fregs i), fun _ -> 0.0)
-    | Oi i ->
-      Some
-        ((fun st -> float_of_int (Array.unsafe_get st.iregs i)), fun _ -> 0.0)
-    | Ob i ->
-      Some
-        ( (fun st -> if Array.unsafe_get st.bregs i then 1.0 else 0.0),
-          fun _ -> 0.0 )
-    | Oc s ->
-      Some
-        ( (fun st -> Array.unsafe_get st.cregs (2 * s)),
-          fun st -> Array.unsafe_get st.cregs ((2 * s) + 1) )
-    | Ov _ | Og _ -> None
-  in
-  let wr st re im =
-    echarge st cls cost;
-    Array.unsafe_set st.cregs (2 * d) re;
-    Array.unsafe_set st.cregs ((2 * d) + 1) im
-  in
   match rv with
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
     | Ok aslot when aslot.bank = AKc ->
-      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+      let ix = index_of env idx ~len:aslot.alen ~what:a.Mir.vname in
       let k = aslot.aidx in
       Some
         (fun st ->
-          let i = gi st in
+          let i = index st ix in
           let ca = Array.unsafe_get st.carrs k in
-          let re = Array.unsafe_get ca (2 * i) in
-          let im = Array.unsafe_get ca ((2 * i) + 1) in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
+          set_c st cls cost d
+            (Array.unsafe_get ca (2 * i))
+            (Array.unsafe_get ca ((2 * i) + 1)))
     | _ -> None)
   | Mir.Rmove o -> (
-    match oper_of env o with
-    | Oc s ->
-      Some
-        (fun st ->
-          let re = Array.unsafe_get st.cregs (2 * s) in
-          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
-    | o -> (
-      match comp o with
-      | Some (gre, gim) ->
-        Some
-          (fun st ->
-            let re = gre st in
-            let im = gim st in
-            wr st re im)
-      | None -> None))
+    match ctag (oper_of env o) with
+    | Some (t, s) ->
+      Some (fun st -> set_c st cls cost d (rd_re st t s) (rd_im st t s))
+    | None -> None)
   | Mir.Rcomplex (ore, oim) -> (
     (* Only operands whose float view cannot raise qualify — the
        tree-walker's record-field evaluation order is unspecified, so
        the reads must be order-insensitive. *)
-    match (oper_of env ore, oper_of env oim) with
-    | Of a, Of b ->
-      Some
-        (fun st ->
-          let re = Array.unsafe_get st.fregs a in
-          let im = Array.unsafe_get st.fregs b in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) re;
-          Array.unsafe_set st.cregs ((2 * d) + 1) im)
-    | ((Of _ | Oi _ | Ob _) as oa), ((Of _ | Oi _ | Ob _) as ob) ->
-      let gre = f_read oa and gim = f_read ob in
-      Some
-        (fun st ->
-          let re = gre st in
-          let im = gim st in
-          wr st re im)
+    match (reg_tag (oper_of env ore), reg_tag (oper_of env oim)) with
+    | Some (ta, ia), Some (tb, ib) ->
+      Some (fun st -> set_c st cls cost d (rd_f st ta ia) (rd_f st tb ib))
     | _ -> None)
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
     (* a statically complex operand means [V.binop] takes its complex
        branch at runtime; mirror Complex.add/sub/mul term-for-term *)
-    match (oa, ob) with
-    | Oc sa, Oc sb -> (
+    match (ctag oa, ctag ob) with
+    | Some (ta, ia), Some (tb, ib) when is_oc oa || is_oc ob -> (
       match op with
       | Mir.Badd ->
         Some
           (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar +. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
+            let ar = rd_re st ta ia and ai = rd_im st ta ia in
+            let br = rd_re st tb ib and bi = rd_im st tb ib in
+            set_c st cls cost d (ar +. br) (ai +. bi))
       | Mir.Bsub ->
         Some
           (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar -. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai -. bi))
+            let ar = rd_re st ta ia and ai = rd_im st ta ia in
+            let br = rd_re st tb ib and bi = rd_im st tb ib in
+            set_c st cls cost d (ar -. br) (ai -. bi))
       | Mir.Bmul ->
         Some
           (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
-            Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
+            let ar = rd_re st ta ia and ai = rd_im st ta ia in
+            let br = rd_re st tb ib and bi = rd_im st tb ib in
+            set_c st cls cost d
+              ((ar *. br) -. (ai *. bi))
+              ((ar *. bi) +. (ai *. br)))
       | _ -> None)
-    | _ -> (
-      match (comp oa, comp ob) with
-      | Some (are, aim), Some (bre, bim) when is_oc oa || is_oc ob -> (
-        match op with
-        | Mir.Badd ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar +. br) (ai +. bi))
-        | Mir.Bsub ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar -. br) (ai -. bi))
-        | Mir.Bmul ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-        | _ -> None)
-      | _ -> None))
+    | _ -> None)
   | Mir.Rintrin (name, args) -> (
-    match Isa.find_named env.isa name with
-    | None -> None
-    | Some desc -> (
-      let opers = List.map (oper_of env) args in
-      match (desc.Isa.kind, opers) with
-      | Isa.Kcmul, [ Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) ((ar *. br) -. (ai *. bi));
-            Array.unsafe_set cr ((2 * d) + 1) ((ar *. bi) +. (ai *. br)))
-      | Isa.Kcadd, [ Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) (ar +. br);
-            Array.unsafe_set cr ((2 * d) + 1) (ai +. bi))
-      | Isa.Kcmac, [ Oc sc; Oc sa; Oc sb ] ->
-        Some
-          (fun st ->
-            let cr = st.cregs in
-            let cr0 = Array.unsafe_get cr (2 * sc) in
-            let ci0 = Array.unsafe_get cr ((2 * sc) + 1) in
-            let ar = Array.unsafe_get cr (2 * sa) in
-            let ai = Array.unsafe_get cr ((2 * sa) + 1) in
-            let br = Array.unsafe_get cr (2 * sb) in
-            let bi = Array.unsafe_get cr ((2 * sb) + 1) in
-            echarge st cls cost;
-            Array.unsafe_set cr (2 * d) (cr0 +. ((ar *. br) -. (ai *. bi)));
-            Array.unsafe_set cr
-              ((2 * d) + 1)
-              (ci0 +. ((ar *. bi) +. (ai *. br))))
-      | _ -> (
-        match (desc.Isa.kind, List.map comp opers) with
-        | Isa.Kcmul, [ Some (are, aim); Some (bre, bim) ] ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-        | Isa.Kcadd, [ Some (are, aim); Some (bre, bim) ] ->
-          Some
-            (fun st ->
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st (ar +. br) (ai +. bi))
-        | Isa.Kcmac, [ Some (cre, cim); Some (are, aim); Some (bre, bim) ]
-          ->
-          Some
-            (fun st ->
-              let cr = cre st in
-              let ci = cim st in
-              let ar = are st in
-              let ai = aim st in
-              let br = bre st in
-              let bi = bim st in
-              wr st
-                (cr +. ((ar *. br) -. (ai *. bi)))
-                (ci +. ((ar *. bi) +. (ai *. br))))
-        | _ -> None)))
-  | Mir.Runop _ | Mir.Rmath _ | Mir.Rvload _ | Mir.Rvbroadcast _
-  | Mir.Rvreduce _ ->
-    None
+    let kind = Option.map (fun i -> i.Isa.kind) (Isa.find_named env.isa name) in
+    match (kind, List.map (fun a -> ctag (oper_of env a)) args) with
+    | Some Isa.Kcmul, [ Some (ta, ia); Some (tb, ib) ] ->
+      Some
+        (fun st ->
+          let ar = rd_re st ta ia and ai = rd_im st ta ia in
+          let br = rd_re st tb ib and bi = rd_im st tb ib in
+          set_c st cls cost d
+            ((ar *. br) -. (ai *. bi))
+            ((ar *. bi) +. (ai *. br)))
+    | Some Isa.Kcadd, [ Some (ta, ia); Some (tb, ib) ] ->
+      Some
+        (fun st ->
+          let ar = rd_re st ta ia and ai = rd_im st ta ia in
+          let br = rd_re st tb ib and bi = rd_im st tb ib in
+          set_c st cls cost d (ar +. br) (ai +. bi))
+    | Some Isa.Kcmac, [ Some (tc, ic); Some (ta, ia); Some (tb, ib) ] ->
+      Some
+        (fun st ->
+          let cr = rd_re st tc ic and ci = rd_im st tc ic in
+          let ar = rd_re st ta ia and ai = rd_im st ta ia in
+          let br = rd_re st tb ib and bi = rd_im st tb ib in
+          set_c st cls cost d
+            (cr +. ((ar *. br) -. (ai *. bi)))
+            (ci +. ((ar *. bi) +. (ai *. br))))
+    | _ -> None)
+  | Mir.Runop (op, a) -> (
+    (* [Complex.neg] and [Complex.conj], component by component *)
+    match (op, oper_of env a) with
+    | Mir.Uneg, Oc s ->
+      Some
+        (fun st ->
+          let re = Array.unsafe_get st.cregs (2 * s) in
+          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+          set_c st cls cost d (-.re) (-.im))
+    | Mir.Uconj, Oc s ->
+      Some
+        (fun st ->
+          let re = Array.unsafe_get st.cregs (2 * s) in
+          let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
+          set_c st cls cost d re (-.im))
+    | _ -> None)
+  | Mir.Rmath _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _ -> None
 
 (* Fused float definitions: for an [Idef] whose target is a Double
    register and whose rvalue's float path would otherwise hop through a
@@ -1482,206 +1296,311 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
    fused text mirrors the generic path term-for-term are taken
    ([min]/[max] keep their polymorphic-compare semantics, so they stay
    on the closure path); everything else returns [None]. *)
-let compile_fdef env d rv prod cls cost : (state -> unit) option =
+let compile_fdef env d rv cls cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
-    let tag = function
-      | Of i -> Some (0, i)
-      | Oi i -> Some (1, i)
-      | Ob i -> Some (2, i)
-      | Oc _ | Ov _ | Og _ -> None
-    in
-    match (tag oa, tag ob) with
+    match (reg_tag oa, reg_tag ob) with
     | Some (ta, ia), Some (tb, ib) -> (
-      (* Mirrors [compile_rbin]'s static promotion: Badd/Bsub/Bmul of
-         two int-like operands produce an unboxed [Pi] already; the
-         float branch is what needs fusing. Bdiv/Bpow are float in both
-         branches. *)
-      let both_int = int_like oa && int_like ob in
+      (* Mirrors [compile_rbin]'s static promotion: Badd/Bsub/Bmul/Bmod
+         of two int-like operands are int ops ([compile_idef]); Bdiv and
+         Bpow are float in both branches. *)
+      let float_op = not (int_like oa && int_like ob) in
       match op with
-      | Mir.Badd when not both_int ->
+      | Mir.Badd when float_op ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x +. y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bsub when not both_int ->
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (x +. y))
+      | Mir.Bsub when float_op ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x -. y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bmul when not both_int ->
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (x -. y))
+      | Mir.Bmul when float_op ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x *. y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
-      | Mir.Bmod when not both_int ->
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (x *. y))
+      | Mir.Bmod when float_op ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = if y = 0.0 then x else Float.rem x y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (if y = 0.0 then x else Float.rem x y))
       | Mir.Bdiv ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x /. y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (x /. y))
       | Mir.Bpow ->
         Some
           (fun st ->
-            let x =
-              (match ta with
-              | 0 -> Array.unsafe_get st.fregs ia
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ia)
-              | _ -> if Array.unsafe_get st.bregs ia then 1.0 else 0.0)
-            in
-            let y =
-              (match tb with
-              | 0 -> Array.unsafe_get st.fregs ib
-              | 1 -> float_of_int (Array.unsafe_get st.iregs ib)
-              | _ -> if Array.unsafe_get st.bregs ib then 1.0 else 0.0)
-            in
-            let r = x ** y in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d r)
+            let x = rd_f st ta ia and y = rd_f st tb ib in
+            set_f st cls cost d (x ** y))
       | _ -> None)
     | _ -> None)
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
-    | Error _ -> None
-    | Ok aslot -> (
-      match aslot.bank with
-      | AKf ->
-        let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
-        let k = aslot.aidx in
-        Some
-          (fun st ->
-            let i = gi st in
-            let x = Array.unsafe_get (Array.unsafe_get st.farrs k) i in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | AKi | AKb | AKc -> None))
-  | Mir.Rmove a -> (
-    match oper_of env a with
-    | Of s ->
+    | Ok ({ bank = AKf; _ } as sl) ->
+      let ix = index_of env idx ~len:sl.alen ~what:a.Mir.vname in
+      let k = sl.aidx in
       Some
         (fun st ->
-          let x = Array.unsafe_get st.fregs s in
-          echarge st cls cost;
-          Array.unsafe_set st.fregs d x)
-    | _ -> None)
+          let i = index st ix in
+          set_f st cls cost d
+            (Array.unsafe_get (Array.unsafe_get st.farrs k) i))
+    | Ok _ | Error _ -> None)
+  | Mir.Rmove a -> (
+    match reg_tag (oper_of env a) with
+    | Some (t, s) -> Some (fun st -> set_f st cls cost d (rd_f st t s))
+    | None -> None)
   | Mir.Runop (op, a) -> (
     match oper_of env a with
     | Of s -> (
       match op with
       | Mir.Uneg ->
-        Some
-          (fun st ->
-            let x = -.Array.unsafe_get st.fregs s in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d x)
+        Some (fun st -> set_f st cls cost d (-.Array.unsafe_get st.fregs s))
       | Mir.Uabs ->
         Some
           (fun st ->
-            let x = Float.abs (Array.unsafe_get st.fregs s) in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d x)
+            set_f st cls cost d (Float.abs (Array.unsafe_get st.fregs s)))
       | Mir.Ure | Mir.Uconj ->
+        Some (fun st -> set_f st cls cost d (Array.unsafe_get st.fregs s))
+      | Mir.Unot | Mir.Uim -> None)
+    | Oc s -> (
+      match op with
+      | Mir.Ure ->
+        Some (fun st -> set_f st cls cost d (Array.unsafe_get st.cregs (2 * s)))
+      | Mir.Uim ->
         Some
           (fun st ->
-            let x = Array.unsafe_get st.fregs s in
-            echarge st cls cost;
-            Array.unsafe_set st.fregs d x)
-      | Mir.Unot | Mir.Uim -> None)
+            set_f st cls cost d (Array.unsafe_get st.cregs ((2 * s) + 1)))
+      | Mir.Uneg | Mir.Unot | Mir.Uabs | Mir.Uconj -> None)
+    | _ -> None)
+  | Mir.Rmath ("atan2", [ a; b ]) -> (
+    (* [Float.atan2] is the external behind [Builtins.float_fn2], called
+       here directly so its operands and result stay unboxed *)
+    match (reg_tag (oper_of env a), reg_tag (oper_of env b)) with
+    | Some (ta, ia), Some (tb, ib) ->
+      Some
+        (fun st ->
+          let y = rd_f st ta ia and x = rd_f st tb ib in
+          set_f st cls cost d (Float.atan2 y x))
     | _ -> None)
   | Mir.Rvreduce (Mir.Vsum, a) -> (
     (* The vectorizer's reduction epilogue: the lanes sum straight into
        the float register; a boxed escape takes the generic producer. *)
-    match (oper_of env a, prod) with
-    | Ov (s, _), Pf boxed ->
-      Some
-        (fun st ->
-          let x =
-            match Array.unsafe_get st.vboxs s with
-            | None ->
-              let b = Array.unsafe_get st.vbufs s in
-              let acc = ref (Array.unsafe_get b 0) in
-              for i = 1 to Array.length b - 1 do
-                acc := !acc +. Array.unsafe_get b i
-              done;
-              !acc
-            | Some _ -> boxed st
-          in
-          echarge st cls cost;
-          Array.unsafe_set st.fregs d x)
+    match oper_of env a with
+    | Ov (s, _) -> (
+      match compile_rvalue env rv with
+      | Pf boxed ->
+        Some
+          (fun st ->
+            let x =
+              match Array.unsafe_get st.vboxs s with
+              | None ->
+                let b = Array.unsafe_get st.vbufs s in
+                let acc = ref (Array.unsafe_get b 0) in
+                for i = 1 to Array.length b - 1 do
+                  acc := !acc +. Array.unsafe_get b i
+                done;
+                !acc
+              | Some _ -> boxed st
+            in
+            set_f st cls cost d x)
+      | _ -> None)
     | _ -> None)
   | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
   | Mir.Rvbroadcast _ | Mir.Rvreduce _ ->
     None
+
+(* Fused int definitions: the index arithmetic of every scalar and
+   coder-baseline loop. Add/sub/mul/min/max of two int-like operands
+   (pooled int constants included), a move from an int register, and a
+   load from an int array each become one closure that reads the banks
+   directly. [Stdlib.min]/[max] on ints are the comparisons written
+   out here. Everything else takes the generic path. *)
+let compile_idef env d rv cls cost : (state -> unit) option =
+  match rv with
+  | Mir.Rbin (op, a, b) -> (
+    let oa = oper_of env a and ob = oper_of env b in
+    match (reg_tag oa, reg_tag ob) with
+    | Some (ta, ia), Some (tb, ib) when int_like oa && int_like ob -> (
+      match op with
+      | Mir.Badd ->
+        Some
+          (fun st ->
+            let x = rd_i st ta ia and y = rd_i st tb ib in
+            set_i st cls cost d (x + y))
+      | Mir.Bsub ->
+        Some
+          (fun st ->
+            let x = rd_i st ta ia and y = rd_i st tb ib in
+            set_i st cls cost d (x - y))
+      | Mir.Bmul ->
+        Some
+          (fun st ->
+            let x = rd_i st ta ia and y = rd_i st tb ib in
+            set_i st cls cost d (x * y))
+      | Mir.Bmin ->
+        Some
+          (fun st ->
+            let x = rd_i st ta ia and y = rd_i st tb ib in
+            set_i st cls cost d (if x <= y then x else y))
+      | Mir.Bmax ->
+        Some
+          (fun st ->
+            let x = rd_i st ta ia and y = rd_i st tb ib in
+            set_i st cls cost d (if x >= y then x else y))
+      | _ -> None)
+    | _ -> None)
+  | Mir.Rmove a -> (
+    let o = oper_of env a in
+    match reg_tag o with
+    | Some (t, s) when int_like o ->
+      Some (fun st -> set_i st cls cost d (rd_i st t s))
+    | _ -> None)
+  | Mir.Rload (a, idx) -> (
+    match arr_ref env a with
+    | Ok ({ bank = AKi; _ } as sl) ->
+      let ix = index_of env idx ~len:sl.alen ~what:a.Mir.vname in
+      let k = sl.aidx in
+      Some
+        (fun st ->
+          let i = index st ix in
+          set_i st cls cost d
+            (Array.unsafe_get (Array.unsafe_get st.iarrs k) i))
+    | Ok _ | Error _ -> None)
+  | _ -> None
+
+(* Fused comparisons into a bool register. [V.binop] compares any two
+   real scalars as floats through [compare] — ints too, so 2^53 and
+   2^53 + 1 are equal — and so does this closure, on unboxed reads. *)
+let compile_bdef env d rv cls cost : (state -> unit) option =
+  match rv with
+  | Mir.Rbin
+      ( ((Mir.Blt | Mir.Ble | Mir.Bgt | Mir.Bge | Mir.Beq | Mir.Bne) as op),
+        a,
+        b ) -> (
+    match (reg_tag (oper_of env a), reg_tag (oper_of env b)) with
+    | Some (ta, ia), Some (tb, ib) ->
+      Some
+        (fun st ->
+          let c = compare (rd_f st ta ia : float) (rd_f st tb ib) in
+          set_b st cls cost d
+            (match op with
+            | Mir.Blt -> c < 0
+            | Mir.Ble -> c <= 0
+            | Mir.Bgt -> c > 0
+            | Mir.Bge -> c >= 0
+            | Mir.Beq -> c = 0
+            | _ -> c <> 0))
+    | _ -> None)
+  | _ -> None
+
+(* Fused vector definitions. A vector register's lanes live unboxed in
+   [st.vbufs] unless a boxed escape value overrides them ([st.vboxs]).
+   The shapes the vectorizer emits at the register's own width each
+   become one closure that fills the lane buffer directly: a load from
+   a double bank (index read inline), a broadcast of a real register, a
+   register move, and the SIMD arithmetic and mac intrinsics. When a
+   source register holds a boxed escape value, the closure runs the
+   generic boxed def built by [slow]. Other shapes return [None]. *)
+let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
+    (state -> unit) option =
+  let simd kind =
+    match kind with
+    | Isa.Ksimd_add -> Some (Mir.Badd, ( +. ))
+    | Isa.Ksimd_sub -> Some (Mir.Bsub, ( -. ))
+    | Isa.Ksimd_mul -> Some (Mir.Bmul, ( *. ))
+    | Isa.Ksimd_div -> Some (Mir.Bdiv, ( /. ))
+    (* [V.binop Bmin] on two [Sf] lanes is [Sf (Stdlib.min x y)]. *)
+    | Isa.Ksimd_min -> Some (Mir.Bmin, min)
+    | Isa.Ksimd_max -> Some (Mir.Bmax, max)
+    | _ -> None
+  in
+  match rv with
+  | Mir.Rvload (a, base, l) when l = lanes -> (
+    match arr_ref env a with
+    | Ok ({ bank = AKf; _ } as sl) ->
+      let len = sl.alen and k = sl.aidx and name = a.Mir.vname in
+      let ix = index_of env base ~len ~what:name in
+      Some
+        (fun st ->
+          let b = index st ix in
+          if b + lanes > len then fail "vector load past end of %s" name;
+          echarge st cls cost;
+          let src = Array.unsafe_get st.farrs k in
+          let dst = Array.unsafe_get st.vbufs d in
+          for j = 0 to lanes - 1 do
+            Array.unsafe_set dst j (Array.unsafe_get src (b + j))
+          done;
+          Array.unsafe_set st.vboxs d None)
+    | Ok _ | Error _ -> None)
+  | Mir.Rvbroadcast (a, l) when l = lanes -> (
+    match reg_tag (oper_of env a) with
+    | Some (t, i) ->
+      Some
+        (fun st ->
+          let x = rd_f st t i in
+          echarge st cls cost;
+          let dst = Array.unsafe_get st.vbufs d in
+          for j = 0 to lanes - 1 do
+            Array.unsafe_set dst j x
+          done;
+          Array.unsafe_set st.vboxs d None)
+    | None -> None)
+  | Mir.Rmove a -> (
+    match oper_of env a with
+    | Ov (s, l) when l = lanes ->
+      let slow = slow () in
+      Some
+        (fun st ->
+          if unboxed st s then begin
+            echarge st cls cost;
+            Array.blit (Array.unsafe_get st.vbufs s) 0
+              (Array.unsafe_get st.vbufs d) 0 lanes;
+            Array.unsafe_set st.vboxs d None
+          end
+          else slow st)
+    | _ -> None)
+  | Mir.Rintrin (name, args) -> (
+    let kind = Option.map (fun i -> i.Isa.kind) (Isa.find_named env.isa name) in
+    match (kind, List.map (oper_of env) args) with
+    | Some k, [ Ov (sa, la); Ov (sb, lb) ] when la = lanes && lb = lanes -> (
+      match simd k with
+      | Some (op, fop) ->
+        let fill = simd_fill op fop sa sb lanes and slow = slow () in
+        Some
+          (fun st ->
+            if unboxed st sa && unboxed st sb then begin
+              echarge st cls cost;
+              fill st (Array.unsafe_get st.vbufs d);
+              Array.unsafe_set st.vboxs d None
+            end
+            else slow st)
+      | None -> None)
+    | Some Isa.Kmac, [ Ov (sc, lc); Ov (sa, la); Ov (sb, lb) ]
+      when lc = lanes && la = lanes && lb = lanes ->
+      let slow = slow () in
+      Some
+        (fun st ->
+          if unboxed st sc && unboxed st sa && unboxed st sb then begin
+            echarge st cls cost;
+            let acc = Array.unsafe_get st.vbufs sc in
+            let x = Array.unsafe_get st.vbufs sa in
+            let y = Array.unsafe_get st.vbufs sb in
+            let dst = Array.unsafe_get st.vbufs d in
+            for j = 0 to lanes - 1 do
+              Array.unsafe_set dst j
+                (Array.unsafe_get acc j
+                +. (Array.unsafe_get x j *. Array.unsafe_get y j))
+            done;
+            Array.unsafe_set st.vboxs d None
+          end
+          else slow st)
+    | _ -> None)
+  | _ -> None
 
 (* ---------------- instruction compilation ---------------- *)
 
@@ -1865,196 +1784,123 @@ and profiled_instr env (instr : Mir.instr) : state -> unit =
 and compile_desc env (desc : Mir.instr_desc) : step =
   match desc with
   | Mir.Idef (v, rv) -> (
-    let prod = compile_rvalue env rv in
     let cls = class_id env (Cost.class_of_rvalue rv) in
     (* Static cost; [None] only for an intrinsic the target lacks, in
        which case the producer raises before the charge is reached. *)
     let cost_opt = Cost.def_cost_opt env.isa env.mode rv in
     let cost = match cost_opt with Some c -> c | None -> 0 in
     let sty = Mir.elem_ty v in
-    Straight (cls, cost,
-    match slot_of env v with
-    | Sarr _ ->
-      (* the tree-walker fails when it fetches the target as a register,
-         after evaluating and charging *)
-      let g = gen_of_prod prod in
-      let msg =
-        Printf.sprintf "variable %s.%d used as a register" v.Mir.vname
-          v.Mir.vid
-      in
-      fun st ->
-        let _value = g st in
-        echarge st cls cost;
-        raise (Runtime_error msg)
-    | Sreg (Rf d) -> (
-      let fused =
-        if cost_opt = None then None else compile_fdef env d rv prod cls cost
-      in
-      match fused with
-      | Some f -> f
-      | None -> (
-      (* Writes below follow the tree-walker's order exactly: evaluate
-         the rvalue, charge, then coerce (which may raise) and write. *)
-      match prod with
-      | Pf f ->
+    let slot = slot_of env v in
+    (* The generic producer is built only on the fallback path. Writes
+       follow the tree-walker's order exactly: evaluate the rvalue,
+       charge, then coerce (which may raise) and write. *)
+    let generic () =
+      let prod = compile_rvalue env rv in
+      match slot with
+      | Sarr _ ->
+        (* the tree-walker fails when it fetches the target as a register,
+           after evaluating and charging *)
+        let g = gen_of_prod prod in
+        let msg =
+          Printf.sprintf "variable %s.%d used as a register" v.Mir.vname
+            v.Mir.vid
+        in
         fun st ->
-          let x = f st in
+          let _value = g st in
           echarge st cls cost;
-          Array.unsafe_set st.fregs d x
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.fregs d (float_of_int x)
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.fregs d (if x then 1.0 else 0.0)
-      | Pc f ->
-        fun st ->
-          let z = f st in
-          echarge st cls cost;
-          if z.Complex.im = 0.0 then Array.unsafe_set st.fregs d z.Complex.re
-          else
-            invalid_arg "Value.to_float: complex with non-zero imaginary part"
-      | (Pv _ | Pg _) as p ->
-        let g = gen_of_prod p in
-        fun st ->
-          let value = g st in
-          echarge st cls cost;
-          Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value))))
-    | Sreg (Ri d) -> (
-      match prod with
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.iregs d x
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.iregs d (int_of_float (Float.round x))
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.iregs d (if x then 1 else 0)
-      | Pc f ->
-        fun st ->
-          let _z = f st in
-          echarge st cls cost;
-          invalid_arg "Value.coerce: complex into int"
-      | (Pv _ | Pg _) as p ->
-        let g = gen_of_prod p in
-        fun st ->
-          let value = g st in
-          echarge st cls cost;
-          Array.unsafe_set st.iregs d
-            (Store.coerce_int_exn (scalar_of_value value)))
-    | Sreg (Rb d) -> (
-      match prod with
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.bregs d x
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.bregs d (x <> 0.0)
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.bregs d (x <> 0)
-      | Pc f ->
-        fun st ->
-          let z = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.bregs d (Complex.norm z <> 0.0)
-      | (Pv _ | Pg _) as p ->
-        let g = gen_of_prod p in
-        fun st ->
-          let value = g st in
-          echarge st cls cost;
-          Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
-    | Sreg (Rc d) -> (
-      let fused =
-        if cost_opt = None then None else compile_cdef env d rv cls cost
-      in
-      match fused with
-      | Some f -> f
-      | None -> (
-      let set st (z : Complex.t) =
-        Array.unsafe_set st.cregs (2 * d) z.Complex.re;
-        Array.unsafe_set st.cregs ((2 * d) + 1) z.Complex.im
-      in
-      match prod with
-      | Pc f ->
-        fun st ->
-          let z = f st in
-          echarge st cls cost;
-          set st z
-      | Pf f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) x;
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
-      | Pi f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) (float_of_int x);
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
-      | Pb f ->
-        fun st ->
-          let x = f st in
-          echarge st cls cost;
-          Array.unsafe_set st.cregs (2 * d) (if x then 1.0 else 0.0);
-          Array.unsafe_set st.cregs ((2 * d) + 1) 0.0
-      | (Pv _ | Pg _) as p ->
-        let g = gen_of_prod p in
-        fun st ->
-          let value = g st in
-          echarge st cls cost;
-          set st (V.to_complex (scalar_of_value value))))
-    | Sreg (Rv (d, lanes)) -> (
-      match prod with
-      | Pv vp when vp.vlanes = lanes ->
-        fun st ->
-          if vp.vready st then begin
-            vp.vcheck st;
+          raise (Runtime_error msg)
+      | Sreg (Rf d) -> (
+        match prod with
+        | Pf f -> fun st -> set_f st cls cost d (f st)
+        | Pi f -> fun st -> set_f st cls cost d (float_of_int (f st))
+        | Pb f -> fun st -> set_f st cls cost d (if f st then 1.0 else 0.0)
+        | Pc f ->
+          fun st ->
+            let z = f st in
             echarge st cls cost;
-            vp.vfill st (Array.unsafe_get st.vbufs d);
-            Array.unsafe_set st.vboxs d None
-          end
-          else begin
-            let value = vp.vgen st in
+            if z.Complex.im = 0.0 then Array.unsafe_set st.fregs d z.Complex.re
+            else
+              invalid_arg "Value.to_float: complex with non-zero imaginary part"
+        | Pg g ->
+          fun st ->
+            let value = g st in
             echarge st cls cost;
-            write_vreg st d lanes sty value
-          end
-      | p ->
-        let g = gen_of_prod p in
+            Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value)))
+      | Sreg (Ri d) -> (
+        match prod with
+        | Pi f -> fun st -> set_i st cls cost d (f st)
+        | Pf f ->
+          fun st -> set_i st cls cost d (int_of_float (Float.round (f st)))
+        | Pb f -> fun st -> set_i st cls cost d (if f st then 1 else 0)
+        | Pc f ->
+          fun st ->
+            let _z = f st in
+            echarge st cls cost;
+            invalid_arg "Value.coerce: complex into int"
+        | Pg g ->
+          fun st ->
+            let value = g st in
+            echarge st cls cost;
+            Array.unsafe_set st.iregs d
+              (Store.coerce_int_exn (scalar_of_value value)))
+      | Sreg (Rb d) -> (
+        match prod with
+        | Pb f -> fun st -> set_b st cls cost d (f st)
+        | Pf f -> fun st -> set_b st cls cost d (f st <> 0.0)
+        | Pi f -> fun st -> set_b st cls cost d (f st <> 0)
+        | Pc f -> fun st -> set_b st cls cost d (Complex.norm (f st) <> 0.0)
+        | Pg g ->
+          fun st ->
+            let value = g st in
+            echarge st cls cost;
+            Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
+      | Sreg (Rc d) -> (
+        match prod with
+        | Pc f ->
+          fun st ->
+            let z = f st in
+            set_c st cls cost d z.Complex.re z.Complex.im
+        | Pf f -> fun st -> set_c st cls cost d (f st) 0.0
+        | Pi f -> fun st -> set_c st cls cost d (float_of_int (f st)) 0.0
+        | Pb f -> fun st -> set_c st cls cost d (if f st then 1.0 else 0.0) 0.0
+        | Pg g ->
+          fun st ->
+            let value = g st in
+            echarge st cls cost;
+            let z = V.to_complex (scalar_of_value value) in
+            Array.unsafe_set st.cregs (2 * d) z.Complex.re;
+            Array.unsafe_set st.cregs ((2 * d) + 1) z.Complex.im)
+      | Sreg (Rv (d, lanes)) ->
+        let g = gen_of_prod prod in
         fun st ->
           let value = g st in
           echarge st cls cost;
-          write_vreg st d lanes sty value)
-    | Sreg (Rg d) ->
-      let g = gen_of_prod prod in
-      let co = coerce_fast sty in
-      fun st ->
-        let value = g st in
-        echarge st cls cost;
-        Array.unsafe_set st.gregs d (co value)))
+          write_vreg st d lanes sty value
+      | Sreg (Rg d) ->
+        let g = gen_of_prod prod in
+        let co = coerce_fast sty in
+        fun st ->
+          let value = g st in
+          echarge st cls cost;
+          Array.unsafe_set st.gregs d (co value)
+    in
+    let fused =
+      match (cost_opt, slot) with
+      | None, _ -> None
+      | Some _, Sreg (Rf d) -> compile_fdef env d rv cls cost
+      | Some _, Sreg (Ri d) -> compile_idef env d rv cls cost
+      | Some _, Sreg (Rb d) -> compile_bdef env d rv cls cost
+      | Some _, Sreg (Rc d) -> compile_cdef env d rv cls cost
+      | Some _, Sreg (Rv (d, lanes)) ->
+        compile_vdef env d lanes rv cls cost generic
+      | Some _, _ -> None
+    in
+    Straight (cls, cost, match fused with Some f -> f | None -> generic ()))
   | Mir.Istore (a, idx, x) -> (
     match arr_ref env a with
     | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
-      let gi = index_fn env idx ~len:aslot.alen ~what:a.Mir.vname in
+      let ix = index_of env idx ~len:aslot.alen ~what:a.Mir.vname in
       let ox = oper_of env x in
       let cls = class_id env "mem" in
       let sty = Mir.elem_ty a in
@@ -2065,34 +1911,31 @@ and compile_desc env (desc : Mir.instr_desc) : step =
       Straight (cls, cost,
       match aslot.bank with
       | AKf -> (
-        match ox with
-        | Of s ->
-          (* freg -> double bank: straight float copy, no boxing *)
+        match reg_tag ox with
+        | Some (t, s) ->
+          (* real register -> double bank: read inline, no boxing *)
           fun st ->
-            let i = gi st in
-            Array.unsafe_set
-              (Array.unsafe_get st.farrs k)
-              i
-              (Array.unsafe_get st.fregs s);
+            let i = index st ix in
+            Array.unsafe_set (Array.unsafe_get st.farrs k) i (rd_f st t s);
             echarge st cls cost
-        | _ ->
+        | None ->
           let gx = f_read ox in
           fun st ->
-            let i = gi st in
+            let i = index st ix in
             let x = gx st in
             Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
             echarge st cls cost)
       | AKi ->
         let gx = ci_read ox in
         fun st ->
-          let i = gi st in
+          let i = index st ix in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.iarrs k) i x;
           echarge st cls cost
       | AKb ->
         let gx = b_read ox in
         fun st ->
-          let i = gi st in
+          let i = index st ix in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.barrs k) i x;
           echarge st cls cost
@@ -2101,7 +1944,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         | Oc s ->
           (* creg -> complex bank: straight float copy, no boxing *)
           fun st ->
-            let i = gi st in
+            let i = index st ix in
             let re = Array.unsafe_get st.cregs (2 * s) in
             let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
             let ca = Array.unsafe_get st.carrs k in
@@ -2111,7 +1954,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         | _ ->
           let gx = c_read ox in
           fun st ->
-            let i = gi st in
+            let i = index st ix in
             let z = gx st in
             let ca = Array.unsafe_get st.carrs k in
             Array.unsafe_set ca (2 * i) z.Complex.re;
@@ -2122,7 +1965,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
     | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
       let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
-      let gb = index_fn env base ~len ~what:name in
+      let ix = index_of env base ~len ~what:name in
       let cls = class_id env "simd" in
       let cost = Cost.vstore_cost env.isa in
       let ox = oper_of env x in
@@ -2165,7 +2008,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         (* The dominant vectorized shape: unboxed register into a
            real-double array is a straight blit. *)
         fun st ->
-          let b = gb st in
+          let b = index st ix in
           if b + lanes > len then fail "vector store past end of %s" name;
           (match Array.unsafe_get st.vboxs s with
           | None ->
@@ -2182,7 +2025,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
       | _ ->
         let gx = v_read ox in
         fun st ->
-          let b = gb st in
+          let b = index st ix in
           if b + lanes > len then fail "vector store past end of %s" name;
           store_boxed st b (gx st))))
   | Mir.Iif (c, then_b, else_b) ->

@@ -114,11 +114,16 @@ let test_bounds_checking () =
       body = [ Mir.instr (Mir.Idef (y, Mir.Rload (arr, Mir.Oconst (Mir.Ci 9)))) ] }
   in
   let input = I.xarray_of_floats [| 1.; 2.; 3.; 4. |] in
-  match I.run ~isa:T.scalar ~mode:Masc_asip.Cost_model.Proposed f [ input ] with
-  | exception I.Runtime_error msg ->
-    Alcotest.(check bool) "mentions bounds" true
-      (String.length msg > 0)
-  | _ -> Alcotest.fail "expected out-of-bounds error"
+  let mode = Masc_asip.Cost_model.Proposed in
+  List.iter
+    (fun (engine, run) ->
+      match run () with
+      | exception I.Runtime_error msg ->
+        Alcotest.(check string) (engine ^ " message")
+          "a index 9 out of bounds [0, 4)" msg
+      | _ -> Alcotest.failf "%s: expected out-of-bounds error" engine)
+    [ ("plan", fun () -> I.run ~isa:T.scalar ~mode f [ input ]);
+      ("tree-walker", fun () -> I.run_tree ~isa:T.scalar ~mode f [ input ]) ]
 
 let test_cycle_budget () =
   let y = { Mir.vname = "y"; vid = 0; vty = Mir.Tscalar Mir.double_sty } in
@@ -410,7 +415,8 @@ let test_plan_reuse () =
 (* --- plan back end: exact traps under segment charging --- *)
 
 (* What a run ended with, compared between the engines: every field of
-   a finished run, or the trap or injected fault that stopped it. *)
+   a finished run, or the trap, injected fault or runtime failure (with
+   its message) that stopped it. *)
 let outcome run =
   match run () with
   | (r : I.result) ->
@@ -419,6 +425,8 @@ let outcome run =
     `Trap (kind, loc, steps_executed)
   | exception Masc_fault.Fault.Injected { site; occurrence } ->
     `Fault (site, occurrence)
+  | exception I.Runtime_error msg -> `Error msg
+  | exception Invalid_argument msg -> `Invalid msg
 
 let same_outcome a b = compare a b = 0
 
@@ -448,50 +456,59 @@ let small_configs () =
 (* The plan charges a straight-line segment at once when no trap can
    fall inside it, and per instruction otherwise. Trap the run at every
    dynamic step, by fuel and by cycle limit: the plan must stop at the
-   same step, with the same trap, as the per-instruction tree-walker. *)
-let test_trap_every_step () =
-  List.iter
-    (fun (tag, mir, isa, mode, inputs) ->
-      let tree ?fuel ?max_cycles ?profile () =
-        I.run_tree ?fuel ?max_cycles ?profile ~isa ~mode mir inputs
-      in
-      let plan ?fuel ?max_cycles () =
-        I.run ?fuel ?max_cycles ~isa ~mode mir inputs
-      in
-      let total = (tree ()).I.dyn_instrs in
-      (* cycles.(k): cumulative cycles after step k, read from the
-         tree-walker's profile of the run that traps at step k *)
-      let cycles = Array.make (total + 1) 0 in
-      for fuel = 0 to total do
-        let col = Masc_obs.Profile.create () in
-        let t = outcome (tree ~fuel ~profile:col) in
-        let p = outcome (plan ~fuel) in
-        if not (same_outcome t p) then
-          Alcotest.failf "%s: fuel %d: plan and tree-walker differ" tag fuel;
-        if fuel < total then
-          cycles.(fuel + 1) <-
-            Hashtbl.fold
-              (fun _ (e : Masc_obs.Profile.entry) acc -> acc + e.e_cycles)
-              col.Masc_obs.Profile.classes 0
-      done;
-      let limits = Hashtbl.create 64 in
-      Array.iter
-        (fun c ->
-          Hashtbl.replace limits (c - 1) ();
-          Hashtbl.replace limits c ())
-        cycles;
-      Hashtbl.iter
-        (fun max_cycles () ->
-          if
-            not
-              (same_outcome
-                 (outcome (tree ~max_cycles))
-                 (outcome (plan ~max_cycles)))
-          then
-            Alcotest.failf "%s: max_cycles %d: plan and tree-walker differ" tag
-              max_cycles)
-        limits)
-    (small_configs ())
+   same step, with the same trap, as the per-instruction tree-walker.
+   A run that fails stops at its failing step; the steps before it are
+   trapped all the same. *)
+let check_every_step (tag, mir, isa, mode, inputs) =
+  let tree ?fuel ?max_cycles ?profile () =
+    I.run_tree ?fuel ?max_cycles ?profile ~isa ~mode mir inputs
+  in
+  let plan ?fuel ?max_cycles () =
+    I.run ?fuel ?max_cycles ~isa ~mode mir inputs
+  in
+  let total =
+    let col = Masc_obs.Profile.create () in
+    match tree ~profile:col () with
+    | r -> r.I.dyn_instrs
+    | exception (I.Runtime_error _ | Invalid_argument _) ->
+      Hashtbl.fold
+        (fun _ (e : Masc_obs.Profile.entry) acc -> acc + e.e_instrs)
+        col.Masc_obs.Profile.classes 0
+  in
+  (* cycles.(k): cumulative cycles after step k, read from the
+     tree-walker's profile of the run that traps at step k *)
+  let cycles = Array.make (total + 1) 0 in
+  for fuel = 0 to total do
+    let col = Masc_obs.Profile.create () in
+    let t = outcome (tree ~fuel ~profile:col) in
+    let p = outcome (plan ~fuel) in
+    if not (same_outcome t p) then
+      Alcotest.failf "%s: fuel %d: plan and tree-walker differ" tag fuel;
+    if fuel < total then
+      cycles.(fuel + 1) <-
+        Hashtbl.fold
+          (fun _ (e : Masc_obs.Profile.entry) acc -> acc + e.e_cycles)
+          col.Masc_obs.Profile.classes 0
+  done;
+  let limits = Hashtbl.create 64 in
+  Array.iter
+    (fun c ->
+      Hashtbl.replace limits (c - 1) ();
+      Hashtbl.replace limits c ())
+    cycles;
+  Hashtbl.iter
+    (fun max_cycles () ->
+      if
+        not
+          (same_outcome
+             (outcome (tree ~max_cycles))
+             (outcome (plan ~max_cycles)))
+      then
+        Alcotest.failf "%s: max_cycles %d: plan and tree-walker differ" tag
+          max_cycles)
+    limits
+
+let test_trap_every_step () = List.iter check_every_step (small_configs ())
 
 (* An injected sim.step fault fires at a seed-chosen step in [1, 2048]:
    both engines fail at the same occurrence, or both complete alike. *)
@@ -632,6 +649,243 @@ let test_loop_handlers () =
     Alcotest.(check (float 0.0)) "y" 23.0 (V.to_float s)
   | _ -> Alcotest.fail "expected one scalar result"
 
+(* --- fused operand shapes: hand-built MIR through both engines --- *)
+
+(* One hand-built function per case, run through the plan and the
+   tree-walker: the outcomes must agree, failure messages included, and
+   the plan must trap like the tree-walker at every step of the run. *)
+let check_case (tag, (f : Mir.func), inputs) =
+  let isa = T.dsp8 and mode = Masc_asip.Cost_model.Proposed in
+  let t = outcome (fun () -> I.run_tree ~isa ~mode f inputs) in
+  let p = outcome (fun () -> I.run ~isa ~mode f inputs) in
+  if not (same_outcome t p) then
+    Alcotest.failf "%s: plan and tree-walker differ" tag;
+  check_every_step (tag, f, isa, mode, inputs);
+  p
+
+let mvar name vid sty = { Mir.vname = name; vid; vty = Mir.Tscalar sty }
+let func name params rets vars body =
+  { Mir.name; params; rets; vars; body = List.map Mir.instr body }
+
+(* Register-indexed scalar and vector loads and stores on f64, int and
+   complex banks, at every index from -1 to the length. *)
+let test_fused_memory () =
+  let n = 4 and lanes = 2 in
+  let banks =
+    [ ("f64", Mir.double_sty, I.xarray_of_floats [| 1.5; -2.5; 3.25; 4.0 |]);
+      ( "int", Mir.int_sty,
+        I.Xarray (Array.map (fun i -> V.Si i) [| 7; -8; max_int; 10 |]) );
+      ( "complex", Mir.complex_sty,
+        I.Xarray
+          (Array.map
+             (fun (re, im) -> V.Sc { Complex.re; im })
+             [| (1.0, 0.0); (2.0, -1.0); (0.5, 0.0); (-3.0, 4.0) |]) ) ]
+  in
+  let vec = { Mir.double_sty with Mir.lanes } in
+  List.iter
+    (fun (bname, sty, arr_in) ->
+      let arr = { Mir.vname = "a"; vid = 0; vty = Mir.Tarray (sty, n) } in
+      let ix = mvar "ix" 1 Mir.int_sty in
+      let x = mvar "x" 2 sty and xi = mvar "xi" 3 Mir.int_sty in
+      let xf = mvar "xf" 4 Mir.double_sty in
+      let y = mvar "y" 5 sty and v = mvar "v" 6 vec in
+      let out =
+        { Mir.vname = "o"; vid = 7; vty = Mir.Tarray (Mir.double_sty, lanes) }
+      in
+      let params = [ arr; ix; x; xi; xf ] in
+      let vars = params @ [ y; v; out ] in
+      let x_in =
+        match bname with
+        | "f64" -> V.Sf (-0.75)
+        | "int" -> V.Si min_int
+        | _ -> V.Sc { Complex.re = 6.0; im = -7.0 }
+      in
+      let shapes =
+        [ ("load", [ y ], [ Mir.Idef (y, Mir.Rload (arr, Mir.Ovar ix)) ]);
+          ("store", [ arr ], [ Mir.Istore (arr, Mir.Ovar ix, Mir.Ovar x) ]);
+          ( "store int", [ arr ],
+            [ Mir.Istore (arr, Mir.Ovar ix, Mir.Ovar xi) ] );
+          ( "vload", [ out ],
+            [ Mir.Idef (v, Mir.Rvload (arr, Mir.Ovar ix, lanes));
+              Mir.Ivstore (out, Mir.Oconst (Mir.Ci 0), Mir.Ovar v, lanes) ] );
+          ( "vstore", [ arr ],
+            [ Mir.Idef (v, Mir.Rvbroadcast (Mir.Ovar xf, lanes));
+              Mir.Ivstore (arr, Mir.Ovar ix, Mir.Ovar v, lanes) ] ) ]
+      in
+      List.iter
+        (fun (sname, rets, body) ->
+          let f = func "mem" params rets vars body in
+          for i = -1 to n do
+            let tag = Printf.sprintf "%s %s [%d]" bname sname i in
+            ignore
+              (check_case
+                 ( tag, f,
+                   [ arr_in; I.Xscalar (V.Si i); I.Xscalar x_in;
+                     I.Xscalar (V.Si (-9)); I.Xscalar (V.Sf 2.5) ] ))
+          done)
+        shapes)
+    banks;
+  (* the failures are the tree-walker's, word for word *)
+  let arr =
+    { Mir.vname = "a"; vid = 0; vty = Mir.Tarray (Mir.double_sty, n) }
+  in
+  let ix = mvar "ix" 1 Mir.int_sty and y = mvar "y" 2 Mir.double_sty in
+  let f =
+    func "mem" [ arr; ix ] [ y ] [ arr; ix; y ]
+      [ Mir.Idef (y, Mir.Rload (arr, Mir.Ovar ix)) ]
+  in
+  let a = I.xarray_of_floats [| 1.; 2.; 3.; 4. |] in
+  match check_case ("f64 load [4]", f, [ a; I.Xscalar (V.Si 4) ]) with
+  | `Error msg ->
+    Alcotest.(check string) "message" "a index 4 out of bounds [0, 4)" msg
+  | _ -> Alcotest.fail "expected an out-of-bounds error"
+
+(* Vector defs at the register's width: broadcasts of int and bool
+   registers, SIMD add/mac and a register move on unboxed lanes. Then
+   the same ops reading boxed escape values (a never-written register's
+   scalar zero, a vector narrower than its register), which send them
+   down the generic path. *)
+let test_fused_vector () =
+  let n = 8 in
+  let vec = { Mir.double_sty with Mir.lanes = n } in
+  let xi = mvar "xi" 0 Mir.int_sty and b = mvar "b" 1 Mir.bool_sty in
+  let out =
+    { Mir.vname = "o"; vid = 2; vty = Mir.Tarray (Mir.double_sty, (2 * n) + 4) }
+  in
+  let v k = mvar "v" (10 + k) vec in
+  let ov k = Mir.Ovar (v k) in
+  let intrin name args = Mir.Rintrin (name, args) in
+  let f =
+    func "vec" [ xi; b ] [ out ]
+      ([ xi; b; out ] @ List.init 10 v)
+      [ Mir.Idef (v 1, Mir.Rvbroadcast (Mir.Ovar xi, n));
+        Mir.Idef (v 2, Mir.Rvbroadcast (Mir.Ovar b, n));
+        Mir.Idef (v 3, intrin "vadd_f64x8" [ ov 1; ov 2 ]);
+        Mir.Idef (v 4, intrin "vmac_f64x8" [ ov 3; ov 1; ov 2 ]);
+        Mir.Idef (v 5, Mir.Rmove (ov 4));
+        Mir.Idef (v 6, intrin "vmul_f64x8" [ ov 0; ov 5 ]);
+        Mir.Idef (v 8, Mir.Rvbroadcast (Mir.Ovar xi, 4));
+        Mir.Idef (v 7, Mir.Rmove (ov 8));
+        Mir.Idef (v 9, intrin "vmac_f64x8" [ ov 7; ov 7; ov 7 ]);
+        Mir.Ivstore (out, Mir.Oconst (Mir.Ci 0), ov 5, n);
+        Mir.Ivstore (out, Mir.Oconst (Mir.Ci n), ov 6, n);
+        Mir.Ivstore (out, Mir.Oconst (Mir.Ci (2 * n)), ov 9, 4) ]
+  in
+  List.iter
+    (fun (x, bv) ->
+      let tag = Printf.sprintf "vector %d %b" x bv in
+      let args = [ I.Xscalar (V.Si x); I.Xscalar (V.Sb bv) ] in
+      match check_case (tag, f, args) with
+      | `Done (_, _, _, _, [ I.Xarray o ]) ->
+        let fb = if bv then 1.0 else 0.0 and fx = float_of_int x in
+        Alcotest.(check (float 0.0)) (tag ^ " mac lane")
+          (fx +. fb +. (fx *. fb)) (V.to_float o.(0));
+        Alcotest.(check (float 0.0)) (tag ^ " narrow mac lane")
+          (fx +. (fx *. fx)) (V.to_float o.(2 * n))
+      | _ -> Alcotest.failf "%s: expected a finished run" tag)
+    [ (3, true); (-2, false) ]
+
+(* Int add/sub/mul/min/max wrap at the machine width in both engines,
+   with int-register, pooled-constant and bool operands. *)
+let test_fused_int_arith () =
+  let x = mvar "x" 0 Mir.int_sty and y = mvar "y" 1 Mir.int_sty in
+  let b = mvar "b" 2 Mir.bool_sty in
+  let ops =
+    [ Mir.Badd; Mir.Bsub; Mir.Bmul; Mir.Bmin; Mir.Bmax ]
+  in
+  let operands =
+    [ (Mir.Ovar x, Mir.Ovar y); (Mir.Ovar x, Mir.Oconst (Mir.Ci 1));
+      (Mir.Ovar b, Mir.Ovar x); (Mir.Ovar y, Mir.Ovar b);
+      (Mir.Ovar b, Mir.Ovar b) ]
+  in
+  let defs =
+    List.concat_map
+      (fun op -> List.map (fun (l, r) -> Mir.Rbin (op, l, r)) operands)
+      ops
+    @ [ Mir.Rmove (Mir.Ovar x) ]
+  in
+  let rs = List.mapi (fun i _ -> mvar "r" (10 + i) Mir.int_sty) defs in
+  let f =
+    func "arith" [ x; y; b ] rs ([ x; y; b ] @ rs)
+      (List.map2 (fun r rv -> Mir.Idef (r, rv)) rs defs)
+  in
+  List.iter
+    (fun (xv, yv, bv) ->
+      let tag = Printf.sprintf "int arith %d %d %b" xv yv bv in
+      match
+        check_case
+          ( tag, f,
+            [ I.Xscalar (V.Si xv); I.Xscalar (V.Si yv); I.Xscalar (V.Sb bv) ] )
+      with
+      | `Done (_, _, _, _, I.Xscalar r0 :: _) ->
+        Alcotest.(check int) (tag ^ " add wraps") (xv + yv) (V.to_int r0)
+      | _ -> Alcotest.failf "%s: expected a finished run" tag)
+    [ (max_int, 1, true); (max_int, max_int, false); (min_int, -1, true);
+      (max_int - 1, min_int, true); (3, -5, false) ]
+
+(* Int comparisons promote both operands to float, as [V.binop] does:
+   2^53 and 2^53 + 1 compare equal. *)
+let test_int_compare_promotes () =
+  let x = mvar "x" 0 Mir.int_sty and y = mvar "y" 1 Mir.int_sty in
+  let ops =
+    [ (Mir.Blt, false); (Mir.Ble, true); (Mir.Beq, true); (Mir.Bne, false);
+      (Mir.Bgt, false); (Mir.Bge, true) ]
+  in
+  let rs = List.mapi (fun i _ -> mvar "c" (10 + i) Mir.bool_sty) ops in
+  let f =
+    func "cmp" [ x; y ] rs ([ x; y ] @ rs)
+      (List.map2
+         (fun r (op, _) -> Mir.Idef (r, Mir.Rbin (op, Mir.Ovar x, Mir.Ovar y)))
+         rs ops)
+  in
+  let big = 1 lsl 53 in
+  match
+    check_case
+      ( "int compare above 2^53", f,
+        [ I.Xscalar (V.Si big); I.Xscalar (V.Si (big + 1)) ] )
+  with
+  | `Done (_, _, _, _, rets) ->
+    List.iter2
+      (fun ret (_, expect) ->
+        match ret with
+        | I.Xscalar s ->
+          Alcotest.(check bool) "float-promoted" expect (V.to_bool s)
+        | I.Xarray _ -> Alcotest.fail "expected scalars")
+      rets ops
+  | _ -> Alcotest.fail "expected a finished run"
+
+(* A coder-style loop nest — int index arithmetic, f64 loads, mul/add,
+   store — runs on fused closures that read the banks directly: it
+   allocates nothing per repetition. *)
+let test_scalar_allocation_free () =
+  let src =
+    String.concat "\n"
+      [ "function c = idx(a, b, reps)"; "c = zeros(8, 8);";
+        "for r = 1:reps";
+        "  for j = 1:8"; "    for k = 1:8"; "      bkj = b(k, j);";
+        "      for i = 1:8"; "        c(i, j) = c(i, j) + a(i, k) * bkj;";
+        "      end"; "    end"; "  end"; "end"; "end" ]
+  in
+  let module MT = Masc_sema.Mtype in
+  let c =
+    Masc.Compiler.compile
+      (Masc.Compiler.coder_baseline ~isa:T.scalar ())
+      ~source:src ~entry:"idx"
+      ~arg_types:
+        [ MT.matrix MT.Double 8 8; MT.matrix MT.Double 8 8; MT.double ]
+  in
+  let p = Masc.Compiler.plan c in
+  let a = I.xarray_of_floats (Masc_kernels.Kernels.randoms ~seed:9 64) in
+  let words reps =
+    let args = [ a; a; I.Xscalar (V.Sf (float_of_int reps)) ] in
+    ignore (Masc_vm.Plan.execute p args);
+    let w0 = Gc.minor_words () in
+    ignore (Masc_vm.Plan.execute p args);
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0))
+    "minor words at 10 and 1000 repetitions" (words 10) (words 1000)
+
 let plan_suites =
   [ ( "vm plan",
       [ Alcotest.test_case "hex and recycling formats" `Quick
@@ -644,6 +898,13 @@ let plan_suites =
         Alcotest.test_case "armed deadline" `Quick test_armed_deadline;
         Alcotest.test_case "loop handlers" `Quick test_loop_handlers;
         Alcotest.test_case "simd allocation-free" `Quick
-          test_simd_allocation_free ] ) ]
+          test_simd_allocation_free;
+        Alcotest.test_case "fused memory shapes" `Quick test_fused_memory;
+        Alcotest.test_case "fused vector shapes" `Quick test_fused_vector;
+        Alcotest.test_case "fused int arithmetic" `Quick test_fused_int_arith;
+        Alcotest.test_case "int compare promotes to float" `Quick
+          test_int_compare_promotes;
+        Alcotest.test_case "scalar index loop allocation-free" `Quick
+          test_scalar_allocation_free ] ) ]
 
 let suites = base_suites @ extra_suites @ plan_suites
