@@ -403,24 +403,6 @@ let do_compile files entry args_spec target isa_file opt_level coder
 
 (* ---- run ---- *)
 
-let random_inputs ~seed (arg_types : MT.t list) : I.xvalue list =
-  List.mapi
-    (fun i ty ->
-      let n = MT.numel ty in
-      let vals = Masc_kernels.Kernels.randoms ~seed:(seed + (37 * i)) n in
-      if MT.is_scalar ty then
-        match ty.MT.cplx with
-        | MT.Real -> I.Xscalar (V.Sf vals.(0))
-        | MT.Complex ->
-          I.Xscalar (V.Sc { Complex.re = vals.(0); im = -.vals.(0) })
-      else
-        match ty.MT.cplx with
-        | MT.Real -> I.xarray_of_floats vals
-        | MT.Complex ->
-          I.xarray_of_complex
-            (Array.map (fun v -> { Complex.re = v; im = 0.5 *. v }) vals))
-    arg_types
-
 let do_run file entry args_spec target isa_file opt_level coder no_vectorize
     no_complex seed show_output opt_stats cache_dir timeout diag_fmt werror
     fuel trace metrics profile profile_json =
@@ -450,7 +432,7 @@ let do_run file entry args_spec target isa_file opt_level coder no_vectorize
     else None
   in
   let compiled = match compiled with Some c -> c | None -> exit 1 in
-  let inputs = random_inputs ~seed arg_types in
+  let inputs = Req.random_inputs ~seed arg_types in
   current_phase := "simulate";
   let profiling = profile || profile_json <> None in
   let result, prof_snap =

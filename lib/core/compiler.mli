@@ -153,9 +153,8 @@ val run :
 (** [run_profiled c inputs] is {!run} plus a source-attributed profile:
     simulated cycles and dynamic instruction counts per MATLAB source
     line, per opcode class and per intrinsic/ISE (exact partitions of
-    the run's totals). Builds a separate profiled plan; the memoized
-    {!plan} — and therefore every unprofiled simulation — is
-    untouched. *)
+    the run's totals). Runs the memoized {!plan}; the profile is
+    derived from the charge-site counts the plan keeps on every run. *)
 val run_profiled :
   ?max_cycles:int ->
   ?fuel:int ->

@@ -1,8 +1,9 @@
 (* Source-attributed simulator profile.
 
-   Both simulator engines (the tree-walking interpreter and the
-   closure-threaded plan) feed one of these collectors when profiling
-   is requested: simulated cycles and dynamic instruction counts,
+   Both simulator engines (the tree-walking interpreter, per charge,
+   and the closure-threaded plan, per charge site once the run
+   returns) feed one of these collectors when profiling is requested:
+   simulated cycles and dynamic instruction counts,
    attributed per opcode class, per intrinsic/ISE, and per MATLAB
    source line. The engines guarantee that the per-line and per-class
    sums each equal the engine's total cycle count exactly — profiles
@@ -18,16 +19,11 @@ type t = {
   lines : (int, entry) Hashtbl.t;
   classes : (string, entry) Hashtbl.t;
   intrins : (string, entry) Hashtbl.t;
-  (* Running totals of cycles/instrs already attributed by completed
-     instruction wrappers; the plan engine uses these to compute each
-     compound instruction's self cost as (total delta - inner delta). *)
-  mutable attr_cycles : int;
-  mutable attr_instrs : int;
 }
 
 let create () =
   { lines = Hashtbl.create 64; classes = Hashtbl.create 16;
-    intrins = Hashtbl.create 16; attr_cycles = 0; attr_instrs = 0 }
+    intrins = Hashtbl.create 16 }
 
 let touch tbl key =
   match Hashtbl.find_opt tbl key with

@@ -5,7 +5,9 @@
     intrinsic/ISE, and per MATLAB source line. Per-line and per-class
     sums each equal the engine's total cycle count exactly (integer
     bookkeeping over the same charges, not sampling); line 0 holds
-    synthetic instructions with no source span. *)
+    synthetic instructions with no source span. The tree-walker adds
+    each charge as it happens; the plan engine adds each charge site's
+    rows times its entry count once the run returns. *)
 
 type entry = { mutable e_cycles : int; mutable e_instrs : int }
 
@@ -13,11 +15,6 @@ type t = {
   lines : (int, entry) Hashtbl.t;
   classes : (string, entry) Hashtbl.t;
   intrins : (string, entry) Hashtbl.t;
-  mutable attr_cycles : int;
-      (** cycles already attributed to lines by completed instruction
-          wrappers; the plan engine's compound instructions subtract
-          this to find their self cost *)
-  mutable attr_instrs : int;
 }
 
 val create : unit -> t

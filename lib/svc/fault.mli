@@ -32,6 +32,14 @@
     fresh. *)
 exception Injected of { site : string; occurrence : int }
 
+(** [splitmix64 z] is one round of the splitmix64 mixer (Steele, Lea
+    and Flood's constants): the decision function behind every draw, and
+    the service layer's retry-backoff jitter. *)
+val splitmix64 : int64 -> int64
+
+(** [to_unit z] is uniform in \[0, 1) from the top 53 bits of [z]. *)
+val to_unit : int64 -> float
+
 (** The site catalog, for validation and docs. *)
 val sites : string list
 

@@ -136,22 +136,10 @@ let random_inputs ~seed (arg_types : MT.t list) : I.xvalue list =
 
 (* ---- backoff jitter: deterministic per (seed, input key, attempt) ---- *)
 
-let splitmix64 x =
-  let x = Int64.add x 0x9E3779B97F4A7C15L in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let x =
-    Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor x (Int64.shift_right_logical x 31)
-
 let jitter_unit ~seed ~key ~attempt =
   let h = Hashtbl.hash (key, attempt) in
-  let bits = splitmix64 (Int64.of_int (seed lxor (h * 0x2545F491))) in
-  Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.0
+  let open Masc_fault.Fault in
+  to_unit (splitmix64 (Int64.of_int (seed lxor (h * 0x2545F491))))
 
 (* ---- one attempt ---- *)
 

@@ -38,14 +38,19 @@
    segment rather than per instruction: one test at segment entry
    decides whether any trap, injected fault or deadline check can fall
    inside the segment, and only then does it run charging instruction
-   by instruction ([enter], DESIGN.md "Simulator architecture").
+   by instruction ([enter], DESIGN.md "Simulator architecture"). What a
+   charge is booked to (class, source line, intrinsic) is static as
+   well, so a run keeps one ledger — how often each charge site was
+   entered — and the class histogram and the source profile are derived
+   from it when the run returns.
 
    Execution is bit-identical to the legacy tree-walker
    ({!Interp.run_tree}): same results, cycles, dynamic instruction
    counts, output, error messages, and even the same histogram ordering
-   (the class histogram is rebuilt through an identically-populated
-   [Hashtbl] so fold order matches). The differential test in
-   [test/test_vm.ml] enforces this over every kernel, target and mode. *)
+   (the class histogram is rebuilt through a [Hashtbl] populated in the
+   tree-walker's first-charge order, so fold order matches). The
+   differential test in [test/test_vm.ml] enforces this over every
+   kernel, target and mode. *)
 
 module Mir = Masc_mir.Mir
 module Isa = Masc_asip.Isa
@@ -73,13 +78,10 @@ type state = {
   max_cycles : int;
   fuel : int;
   floc : string;  (* simulated function name, for trap reports *)
-  hist : int array;  (* cycles charged, by interned class id *)
-  seen : bool array;  (* class id charged at least once *)
-  mutable order : int list;  (* class ids, reverse first-charge order *)
+  counts : int array;  (* entries per charge site: the one charge ledger *)
+  firsts : int array;  (* entered sites, in first-entry order *)
+  mutable nfirst : int;
   out : Buffer.t;
-  pcol : Masc_obs.Profile.t option;  (* profile collector, when profiling *)
-  pon : bool;  (* pcol <> None, pre-decided for the hot path *)
-  pcnt : int array;  (* dynamic instr count per class id, when profiling *)
   guard_on : bool;  (* deadline armed at entry, pre-decided *)
   fault_step : int;  (* dyn index where an injected sim.step fault fires; -1 = never *)
   fault_occ : int;  (* the draw's occurrence index, for the report *)
@@ -91,16 +93,13 @@ type state = {
   mutable exact : bool;  (* straight-line closures charge per instruction *)
 }
 
-let charge st cls cycles =
+(* One charge: the step's cycles and the per-step events. Which class,
+   line and intrinsic it belongs to is static — its row in a charge
+   site's table — so the class histogram and the profile are derived
+   from the site counts when the run ends, not booked here. *)
+let charge st cycles =
   st.cycles <- st.cycles + cycles;
   st.dyn <- st.dyn + 1;
-  if not (Array.unsafe_get st.seen cls) then begin
-    Array.unsafe_set st.seen cls true;
-    st.order <- cls :: st.order
-  end;
-  Array.unsafe_set st.hist cls (Array.unsafe_get st.hist cls + cycles);
-  if st.pon then
-    Array.unsafe_set st.pcnt cls (Array.unsafe_get st.pcnt cls + 1);
   (* Cooperative cancellation rides the fuel accounting: when a request
      deadline is armed, test it every guard_mask+1 steps. Off (the
      default) this costs one bool load per instruction. *)
@@ -122,26 +121,48 @@ let charge st cls cycles =
 
 (* The charge of a straight-line instruction. Its segment normally
    charges for it in bulk on entry ([enter]); only a segment run in
-   exact mode, or a profiled plan, charges here, at the instruction's
-   own step. *)
-let[@inline] echarge st cls cycles = if st.exact then charge st cls cycles
+   exact mode charges here, at the instruction's own step. *)
+let[@inline] echarge st cycles = if st.exact then charge st cycles
 
-(* ---------------- straight-line segments ----------------
+(* ---------------- charge sites ----------------
 
-   A segment is a maximal run of charge-once instructions (defs,
-   stores, prints, comments), optionally led by a for loop's
-   per-iteration charge. Its charges are fixed at plan time: [n]
-   dynamic instructions, [c] cycles, and per class, in first-charge
-   order, the cycles it adds to the histogram. Costs are non-negative
-   (the ISA parser rejects negative ones), so a segment's running cycle
-   total peaks at its end. *)
+   A charge site is a straight-line segment or a control charge point
+   (an if's branch, a while's test, a for loop's exit branch). Each has
+   a static row per charge, in charge order; a run only counts how
+   often each site is entered. Sites run to completion once entered
+   (nothing inside one transfers control), so a finished run's class
+   histogram, first-charge class order and profile all follow from the
+   counts, the first-entry order and the rows. *)
+type row = {
+  line : int;  (* source line; 0 = synthetic *)
+  cls : int;  (* interned class id *)
+  intrin : string option;  (* intrinsic the charge executes *)
+  cyc : int;
+}
+
+let[@inline] count st site =
+  let k = Array.unsafe_get st.counts site in
+  if k = 0 then begin
+    Array.unsafe_set st.firsts st.nfirst site;
+    st.nfirst <- st.nfirst + 1
+  end;
+  Array.unsafe_set st.counts site (k + 1)
+
+(* A control charge point: one charge, counted at its site. *)
+let[@inline] charge_at st site cycles =
+  count st site;
+  charge st cycles
+
+(* A straight-line segment: a maximal run of charge-once instructions
+   (defs, stores, prints, comments), optionally led by a for loop's
+   per-iteration charge. Its [n] charges and [c] cycles are fixed at
+   plan time. Costs are non-negative (the ISA parser rejects negative
+   ones), so a segment's running cycle total peaks at its end. *)
 type seg = {
+  site : int;
   n : int;
   c : int;
-  scls : int array;  (* class ids, first-charge order *)
-  scyc : int array;  (* cycles per class *)
-  lead_cls : int;  (* loop-iteration charge leading the segment; -1 = none *)
-  lead_cost : int;
+  lead : int;  (* cost of the loop charge leading the segment; -1 = none *)
 }
 
 (* Segment entry. The fast path applies the whole segment's charges at
@@ -151,24 +172,15 @@ type seg = {
    and kind as per-instruction charging would. The caller clears
    [st.exact] once the segment's closures have run. *)
 let enter st sg =
+  count st sg.site;
   if st.dyn + sg.n <= st.next_event && st.cycles + sg.c <= st.max_cycles
   then begin
     st.cycles <- st.cycles + sg.c;
-    st.dyn <- st.dyn + sg.n;
-    let scls = sg.scls and scyc = sg.scyc in
-    for i = 0 to Array.length scls - 1 do
-      let k = Array.unsafe_get scls i in
-      Array.unsafe_set st.hist k
-        (Array.unsafe_get st.hist k + Array.unsafe_get scyc i);
-      if not (Array.unsafe_get st.seen k) then begin
-        Array.unsafe_set st.seen k true;
-        st.order <- k :: st.order
-      end
-    done
+    st.dyn <- st.dyn + sg.n
   end
   else begin
     st.exact <- true;
-    if sg.lead_cls >= 0 then charge st sg.lead_cls sg.lead_cost
+    if sg.lead >= 0 then charge st sg.lead
   end
 
 (* ---------------- slots and plan-time environment ---------------- *)
@@ -189,11 +201,12 @@ type slot = Sreg of rslot | Sarr of aslot
 type env = {
   isa : Isa.t;
   mode : Cost.mode;
-  profile : bool;  (* compile per-instruction attribution wrappers in *)
   slots : (int, slot) Hashtbl.t;  (* vid -> slot *)
   cls_ids : (string, int) Hashtbl.t;
   mutable cls_rev : string list;  (* reversed interned class names *)
   mutable ncls : int;
+  mutable sites_rev : row array list;  (* row tables, newest site first *)
+  mutable nsites : int;
   (* Register banks are extended past the variable slots with pooled
      constants (so every typed operand is a bank index and reads
      compile to raw array loads) and with shadow slots (private loop
@@ -276,6 +289,12 @@ let class_id env name =
     env.cls_rev <- name :: env.cls_rev;
     env.ncls <- i + 1;
     i
+
+let new_site env rows =
+  let i = env.nsites in
+  env.nsites <- i + 1;
+  env.sites_rev <- rows :: env.sites_rev;
+  i
 
 (* ---------------- operand readers ---------------- *)
 
@@ -362,20 +381,20 @@ let[@inline] rd_i st tag i =
 (* The tail of every fused definition: charge, then write. The value is
    computed by the caller, before the charge, so an evaluation failure
    raises first, as in the tree-walker. *)
-let[@inline] set_f st cls cost d x =
-  echarge st cls cost;
+let[@inline] set_f st cost d x =
+  echarge st cost;
   Array.unsafe_set st.fregs d x
 
-let[@inline] set_i st cls cost d x =
-  echarge st cls cost;
+let[@inline] set_i st cost d x =
+  echarge st cost;
   Array.unsafe_set st.iregs d x
 
-let[@inline] set_b st cls cost d x =
-  echarge st cls cost;
+let[@inline] set_b st cost d x =
+  echarge st cost;
   Array.unsafe_set st.bregs d x
 
-let[@inline] set_c st cls cost d re im =
-  echarge st cls cost;
+let[@inline] set_c st cost d re im =
+  echarge st cost;
   Array.unsafe_set st.cregs (2 * d) re;
   Array.unsafe_set st.cregs ((2 * d) + 1) im
 
@@ -1186,7 +1205,7 @@ let[@inline] rd_re st tag i =
 let[@inline] rd_im st tag i =
   if tag = 3 then Array.unsafe_get st.cregs ((2 * i) + 1) else 0.0
 
-let compile_cdef env d rv cls cost : (state -> unit) option =
+let compile_cdef env d rv cost : (state -> unit) option =
   match rv with
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
@@ -1197,14 +1216,14 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let i = index st ix in
           let ca = Array.unsafe_get st.carrs k in
-          set_c st cls cost d
+          set_c st cost d
             (Array.unsafe_get ca (2 * i))
             (Array.unsafe_get ca ((2 * i) + 1)))
     | _ -> None)
   | Mir.Rmove o -> (
     match ctag (oper_of env o) with
     | Some (t, s) ->
-      Some (fun st -> set_c st cls cost d (rd_re st t s) (rd_im st t s))
+      Some (fun st -> set_c st cost d (rd_re st t s) (rd_im st t s))
     | None -> None)
   | Mir.Rcomplex (ore, oim) -> (
     (* Only operands whose float view cannot raise qualify — the
@@ -1212,7 +1231,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
        the reads must be order-insensitive. *)
     match (reg_tag (oper_of env ore), reg_tag (oper_of env oim)) with
     | Some (ta, ia), Some (tb, ib) ->
-      Some (fun st -> set_c st cls cost d (rd_f st ta ia) (rd_f st tb ib))
+      Some (fun st -> set_c st cost d (rd_f st ta ia) (rd_f st tb ib))
     | _ -> None)
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
@@ -1226,19 +1245,19 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
           (fun st ->
             let ar = rd_re st ta ia and ai = rd_im st ta ia in
             let br = rd_re st tb ib and bi = rd_im st tb ib in
-            set_c st cls cost d (ar +. br) (ai +. bi))
+            set_c st cost d (ar +. br) (ai +. bi))
       | Mir.Bsub ->
         Some
           (fun st ->
             let ar = rd_re st ta ia and ai = rd_im st ta ia in
             let br = rd_re st tb ib and bi = rd_im st tb ib in
-            set_c st cls cost d (ar -. br) (ai -. bi))
+            set_c st cost d (ar -. br) (ai -. bi))
       | Mir.Bmul ->
         Some
           (fun st ->
             let ar = rd_re st ta ia and ai = rd_im st ta ia in
             let br = rd_re st tb ib and bi = rd_im st tb ib in
-            set_c st cls cost d
+            set_c st cost d
               ((ar *. br) -. (ai *. bi))
               ((ar *. bi) +. (ai *. br)))
       | _ -> None)
@@ -1251,7 +1270,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let ar = rd_re st ta ia and ai = rd_im st ta ia in
           let br = rd_re st tb ib and bi = rd_im st tb ib in
-          set_c st cls cost d
+          set_c st cost d
             ((ar *. br) -. (ai *. bi))
             ((ar *. bi) +. (ai *. br)))
     | Some Isa.Kcadd, [ Some (ta, ia); Some (tb, ib) ] ->
@@ -1259,14 +1278,14 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let ar = rd_re st ta ia and ai = rd_im st ta ia in
           let br = rd_re st tb ib and bi = rd_im st tb ib in
-          set_c st cls cost d (ar +. br) (ai +. bi))
+          set_c st cost d (ar +. br) (ai +. bi))
     | Some Isa.Kcmac, [ Some (tc, ic); Some (ta, ia); Some (tb, ib) ] ->
       Some
         (fun st ->
           let cr = rd_re st tc ic and ci = rd_im st tc ic in
           let ar = rd_re st ta ia and ai = rd_im st ta ia in
           let br = rd_re st tb ib and bi = rd_im st tb ib in
-          set_c st cls cost d
+          set_c st cost d
             (cr +. ((ar *. br) -. (ai *. bi)))
             (ci +. ((ar *. bi) +. (ai *. br))))
     | _ -> None)
@@ -1278,13 +1297,13 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
         (fun st ->
           let re = Array.unsafe_get st.cregs (2 * s) in
           let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-          set_c st cls cost d (-.re) (-.im))
+          set_c st cost d (-.re) (-.im))
     | Mir.Uconj, Oc s ->
       Some
         (fun st ->
           let re = Array.unsafe_get st.cregs (2 * s) in
           let im = Array.unsafe_get st.cregs ((2 * s) + 1) in
-          set_c st cls cost d re (-.im))
+          set_c st cost d re (-.im))
     | _ -> None)
   | Mir.Rmath _ | Mir.Rvload _ | Mir.Rvbroadcast _ | Mir.Rvreduce _ -> None
 
@@ -1296,7 +1315,7 @@ let compile_cdef env d rv cls cost : (state -> unit) option =
    fused text mirrors the generic path term-for-term are taken
    ([min]/[max] keep their polymorphic-compare semantics, so they stay
    on the closure path); everything else returns [None]. *)
-let compile_fdef env d rv cls cost : (state -> unit) option =
+let compile_fdef env d rv cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
@@ -1311,32 +1330,32 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (x +. y))
+            set_f st cost d (x +. y))
       | Mir.Bsub when float_op ->
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (x -. y))
+            set_f st cost d (x -. y))
       | Mir.Bmul when float_op ->
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (x *. y))
+            set_f st cost d (x *. y))
       | Mir.Bmod when float_op ->
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (if y = 0.0 then x else Float.rem x y))
+            set_f st cost d (if y = 0.0 then x else Float.rem x y))
       | Mir.Bdiv ->
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (x /. y))
+            set_f st cost d (x /. y))
       | Mir.Bpow ->
         Some
           (fun st ->
             let x = rd_f st ta ia and y = rd_f st tb ib in
-            set_f st cls cost d (x ** y))
+            set_f st cost d (x ** y))
       | _ -> None)
     | _ -> None)
   | Mir.Rload (a, idx) -> (
@@ -1347,34 +1366,34 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
       Some
         (fun st ->
           let i = index st ix in
-          set_f st cls cost d
+          set_f st cost d
             (Array.unsafe_get (Array.unsafe_get st.farrs k) i))
     | Ok _ | Error _ -> None)
   | Mir.Rmove a -> (
     match reg_tag (oper_of env a) with
-    | Some (t, s) -> Some (fun st -> set_f st cls cost d (rd_f st t s))
+    | Some (t, s) -> Some (fun st -> set_f st cost d (rd_f st t s))
     | None -> None)
   | Mir.Runop (op, a) -> (
     match oper_of env a with
     | Of s -> (
       match op with
       | Mir.Uneg ->
-        Some (fun st -> set_f st cls cost d (-.Array.unsafe_get st.fregs s))
+        Some (fun st -> set_f st cost d (-.Array.unsafe_get st.fregs s))
       | Mir.Uabs ->
         Some
           (fun st ->
-            set_f st cls cost d (Float.abs (Array.unsafe_get st.fregs s)))
+            set_f st cost d (Float.abs (Array.unsafe_get st.fregs s)))
       | Mir.Ure | Mir.Uconj ->
-        Some (fun st -> set_f st cls cost d (Array.unsafe_get st.fregs s))
+        Some (fun st -> set_f st cost d (Array.unsafe_get st.fregs s))
       | Mir.Unot | Mir.Uim -> None)
     | Oc s -> (
       match op with
       | Mir.Ure ->
-        Some (fun st -> set_f st cls cost d (Array.unsafe_get st.cregs (2 * s)))
+        Some (fun st -> set_f st cost d (Array.unsafe_get st.cregs (2 * s)))
       | Mir.Uim ->
         Some
           (fun st ->
-            set_f st cls cost d (Array.unsafe_get st.cregs ((2 * s) + 1)))
+            set_f st cost d (Array.unsafe_get st.cregs ((2 * s) + 1)))
       | Mir.Uneg | Mir.Unot | Mir.Uabs | Mir.Uconj -> None)
     | _ -> None)
   | Mir.Rmath ("atan2", [ a; b ]) -> (
@@ -1385,7 +1404,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
       Some
         (fun st ->
           let y = rd_f st ta ia and x = rd_f st tb ib in
-          set_f st cls cost d (Float.atan2 y x))
+          set_f st cost d (Float.atan2 y x))
     | _ -> None)
   | Mir.Rvreduce (Mir.Vsum, a) -> (
     (* The vectorizer's reduction epilogue: the lanes sum straight into
@@ -1407,7 +1426,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
                 !acc
               | Some _ -> boxed st
             in
-            set_f st cls cost d x)
+            set_f st cost d x)
       | _ -> None)
     | _ -> None)
   | Mir.Rmath _ | Mir.Rcomplex _ | Mir.Rintrin _ | Mir.Rvload _
@@ -1420,7 +1439,7 @@ let compile_fdef env d rv cls cost : (state -> unit) option =
    load from an int array each become one closure that reads the banks
    directly. [Stdlib.min]/[max] on ints are the comparisons written
    out here. Everything else takes the generic path. *)
-let compile_idef env d rv cls cost : (state -> unit) option =
+let compile_idef env d rv cost : (state -> unit) option =
   match rv with
   | Mir.Rbin (op, a, b) -> (
     let oa = oper_of env a and ob = oper_of env b in
@@ -1431,34 +1450,34 @@ let compile_idef env d rv cls cost : (state -> unit) option =
         Some
           (fun st ->
             let x = rd_i st ta ia and y = rd_i st tb ib in
-            set_i st cls cost d (x + y))
+            set_i st cost d (x + y))
       | Mir.Bsub ->
         Some
           (fun st ->
             let x = rd_i st ta ia and y = rd_i st tb ib in
-            set_i st cls cost d (x - y))
+            set_i st cost d (x - y))
       | Mir.Bmul ->
         Some
           (fun st ->
             let x = rd_i st ta ia and y = rd_i st tb ib in
-            set_i st cls cost d (x * y))
+            set_i st cost d (x * y))
       | Mir.Bmin ->
         Some
           (fun st ->
             let x = rd_i st ta ia and y = rd_i st tb ib in
-            set_i st cls cost d (if x <= y then x else y))
+            set_i st cost d (if x <= y then x else y))
       | Mir.Bmax ->
         Some
           (fun st ->
             let x = rd_i st ta ia and y = rd_i st tb ib in
-            set_i st cls cost d (if x >= y then x else y))
+            set_i st cost d (if x >= y then x else y))
       | _ -> None)
     | _ -> None)
   | Mir.Rmove a -> (
     let o = oper_of env a in
     match reg_tag o with
     | Some (t, s) when int_like o ->
-      Some (fun st -> set_i st cls cost d (rd_i st t s))
+      Some (fun st -> set_i st cost d (rd_i st t s))
     | _ -> None)
   | Mir.Rload (a, idx) -> (
     match arr_ref env a with
@@ -1468,7 +1487,7 @@ let compile_idef env d rv cls cost : (state -> unit) option =
       Some
         (fun st ->
           let i = index st ix in
-          set_i st cls cost d
+          set_i st cost d
             (Array.unsafe_get (Array.unsafe_get st.iarrs k) i))
     | Ok _ | Error _ -> None)
   | _ -> None
@@ -1476,7 +1495,7 @@ let compile_idef env d rv cls cost : (state -> unit) option =
 (* Fused comparisons into a bool register. [V.binop] compares any two
    real scalars as floats through [compare] — ints too, so 2^53 and
    2^53 + 1 are equal — and so does this closure, on unboxed reads. *)
-let compile_bdef env d rv cls cost : (state -> unit) option =
+let compile_bdef env d rv cost : (state -> unit) option =
   match rv with
   | Mir.Rbin
       ( ((Mir.Blt | Mir.Ble | Mir.Bgt | Mir.Bge | Mir.Beq | Mir.Bne) as op),
@@ -1487,7 +1506,7 @@ let compile_bdef env d rv cls cost : (state -> unit) option =
       Some
         (fun st ->
           let c = compare (rd_f st ta ia : float) (rd_f st tb ib) in
-          set_b st cls cost d
+          set_b st cost d
             (match op with
             | Mir.Blt -> c < 0
             | Mir.Ble -> c <= 0
@@ -1506,7 +1525,7 @@ let compile_bdef env d rv cls cost : (state -> unit) option =
    register move, and the SIMD arithmetic and mac intrinsics. When a
    source register holds a boxed escape value, the closure runs the
    generic boxed def built by [slow]. Other shapes return [None]. *)
-let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
+let compile_vdef env d lanes rv cost (slow : unit -> state -> unit) :
     (state -> unit) option =
   let simd kind =
     match kind with
@@ -1529,7 +1548,7 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
         (fun st ->
           let b = index st ix in
           if b + lanes > len then fail "vector load past end of %s" name;
-          echarge st cls cost;
+          echarge st cost;
           let src = Array.unsafe_get st.farrs k in
           let dst = Array.unsafe_get st.vbufs d in
           for j = 0 to lanes - 1 do
@@ -1543,7 +1562,7 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
       Some
         (fun st ->
           let x = rd_f st t i in
-          echarge st cls cost;
+          echarge st cost;
           let dst = Array.unsafe_get st.vbufs d in
           for j = 0 to lanes - 1 do
             Array.unsafe_set dst j x
@@ -1557,7 +1576,7 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
       Some
         (fun st ->
           if unboxed st s then begin
-            echarge st cls cost;
+            echarge st cost;
             Array.blit (Array.unsafe_get st.vbufs s) 0
               (Array.unsafe_get st.vbufs d) 0 lanes;
             Array.unsafe_set st.vboxs d None
@@ -1574,7 +1593,7 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
         Some
           (fun st ->
             if unboxed st sa && unboxed st sb then begin
-              echarge st cls cost;
+              echarge st cost;
               fill st (Array.unsafe_get st.vbufs d);
               Array.unsafe_set st.vboxs d None
             end
@@ -1586,7 +1605,7 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
       Some
         (fun st ->
           if unboxed st sc && unboxed st sa && unboxed st sb then begin
-            echarge st cls cost;
+            echarge st cost;
             let acc = Array.unsafe_get st.vbufs sc in
             let x = Array.unsafe_get st.vbufs sa in
             let y = Array.unsafe_get st.vbufs sb in
@@ -1605,9 +1624,11 @@ let compile_vdef env d lanes rv cls cost (slow : unit -> state -> unit) :
 (* ---------------- instruction compilation ---------------- *)
 
 (* A compiled instruction: a straight-line one carries its static
-   charge (class id, or -1 when it charges nothing, and cycles) so its
-   segment can be charged in bulk; control flow ends a segment. *)
-type step = Straight of int * int * (state -> unit) | Control of (state -> unit)
+   charge row ([None] when it charges nothing) so its segment can be
+   charged in bulk; control flow ends a segment. *)
+type step =
+  | Straight of row option * (state -> unit)
+  | Control of (state -> unit)
 
 (* Block builders collect closures newest first; these sequence such a
    list in execution order. *)
@@ -1680,111 +1701,55 @@ let catch_continue body (f : state -> unit) : state -> unit =
 let catch_break body (f : state -> unit) : state -> unit =
   if breaks_out body then fun st -> try f st with Break_exc -> () else f
 
-let close_segment lead_cost items fs n c cl lcls =
-  match fs with
-  | _ when n > 0 ->
-    (* [cl] is newest first: fill the arrays from the end *)
-    let k = List.length cl in
-    let scls = Array.make k 0 and scyc = Array.make k 0 in
-    List.iteri
-      (fun i (cls, r) ->
-        scls.(k - 1 - i) <- cls;
-        scyc.(k - 1 - i) <- !r)
-      cl;
-    segment_rev { n; c; scls; scyc; lead_cls = lcls; lead_cost } fs
+(* Close the open segment — closures [fs] and charge rows [rows], both
+   newest first — onto [items]. *)
+let close_segment env lead items fs rows =
+  match (rows, fs) with
+  | [], [] -> items
+  | [], fs -> seq_rev fs :: items
+  | rows, fs ->
+    let rows = Array.of_list (List.rev rows) in
+    let c = Array.fold_left (fun c r -> c + r.cyc) 0 rows in
+    segment_rev
+      { site = new_site env rows; n = Array.length rows; c; lead }
+      fs
     :: items
-  | [] -> items
-  | fs -> seq_rev fs :: items
+
+let row env ?intrin line cls cyc = { line; cls = class_id env cls; intrin; cyc }
+
+(* A control charge point's site: one row. *)
+let control_site env line cls cyc = new_site env [| row env line cls cyc |]
 
 (* [lead] is a for loop's per-iteration charge, paid before its body:
    it joins the body's first segment so an iteration enters one
-   segment, not two. Profiled plans keep one closure per instruction,
-   each charging at its own step under its attribution wrapper. *)
+   segment, not two. *)
 let rec compile_block ?lead env (block : Mir.block) : state -> unit =
-  if env.profile then
-    let rev = List.rev_map (profiled_instr env) block in
-    match lead with
-    | Some (cls, cost) -> seq_rev (rev @ [ (fun st -> charge st cls cost) ])
-    | None -> seq_rev rev
-  else
-    match lead with
-    | Some (cls, cost) ->
-      block_items env cost [] [] 1 cost [ (cls, ref cost) ] cls block
-    | None -> block_items env 0 [] [] 0 0 [] (-1) block
+  match lead with
+  | Some r -> block_items env r.cyc [] [] [ r ] block
+  | None -> block_items env (-1) [] [] [] block
 
 (* One pass over a block: compile each instruction, accumulating the
-   open segment — its closures [fs] (newest first), [n] charges, [c]
-   cycles, per-class cycles [cl] (newest first) and the lead's class
-   [lcls] — and close it into [items] at each control-flow instruction
-   and at the end. *)
-and block_items env lead_cost items fs n c cl lcls = function
-  | [] -> seq_rev (close_segment lead_cost items fs n c cl lcls)
+   open segment — its closures [fs] and charge rows [rows], newest
+   first, led by a loop charge of cost [lead] — and close it into
+   [items] at each control-flow instruction and at the end. *)
+and block_items env lead items fs rows = function
+  | [] -> seq_rev (close_segment env lead items fs rows)
   | (i : Mir.instr) :: rest -> (
-    match compile_desc env i.Mir.idesc with
-    | Straight (cls, cost, f) ->
-      if cls < 0 then block_items env lead_cost items (f :: fs) n c cl lcls rest
-      else begin
-        let cl =
-          match List.assq_opt cls cl with
-          | Some r ->
-            r := !r + cost;
-            cl
-          | None -> (cls, ref cost) :: cl
-        in
-        block_items env lead_cost items (f :: fs) (n + 1) (c + cost) cl lcls
-          rest
-      end
+    match compile_instr env i with
+    | Straight (None, f) -> block_items env lead items (f :: fs) rows rest
+    | Straight (Some r, f) ->
+      block_items env lead items (f :: fs) (r :: rows) rest
     | Control f ->
-      let items = close_segment lead_cost items fs n c cl lcls in
-      block_items env lead_cost (f :: items) [] 0 0 [] (-1) rest)
+      let items = close_segment env lead items fs rows in
+      block_items env (-1) (f :: items) [] [] rest)
 
-and profiled_instr env (instr : Mir.instr) : state -> unit =
-  let f =
-    match compile_desc env instr.Mir.idesc with
-    | Straight (_, _, f) | Control f -> f
-  in
-  (* Per-instruction attribution wrapper, compiled in only for
-     profiled plans so the normal hot path carries zero residue.
-     Self cost = this instruction's charge delta minus whatever inner
-     (nested) wrappers already attributed, tracked through the
-     collector's [attr_*] running totals; recorded on the exception
-     path too, so breaks, returns and traps leave per-line sums equal
-     to the engine's cycle total. *)
+and compile_instr env (instr : Mir.instr) : step =
   let line = Mir.line_of instr in
-  let intrin =
-    match instr.Mir.idesc with
-    | Mir.Idef (_, Mir.Rintrin (name, _)) -> Some name
-    | _ -> None
+  let charged ?intrin cls cost f =
+    Straight (Some (row env ?intrin line cls cost), f)
   in
-  fun st ->
-    match st.pcol with
-    | None -> f st
-    | Some col ->
-      let c0 = st.cycles and d0 = st.dyn in
-      let a0 = col.Masc_obs.Profile.attr_cycles
-      and ad0 = col.Masc_obs.Profile.attr_instrs in
-      let fin () =
-        let tc = st.cycles - c0 and td = st.dyn - d0 in
-        let self_c = tc - (col.Masc_obs.Profile.attr_cycles - a0)
-        and self_d = td - (col.Masc_obs.Profile.attr_instrs - ad0) in
-        Masc_obs.Profile.add_line col line ~cycles:self_c ~instrs:self_d;
-        (match intrin with
-        | Some name ->
-          Masc_obs.Profile.add_intrin col name ~cycles:self_c ~instrs:self_d
-        | None -> ());
-        col.Masc_obs.Profile.attr_cycles <- a0 + tc;
-        col.Masc_obs.Profile.attr_instrs <- ad0 + td
-      in
-      (match f st with
-      | () -> fin ()
-      | exception e ->
-        fin ();
-        raise e)
-
-and compile_desc env (desc : Mir.instr_desc) : step =
-  match desc with
+  match instr.Mir.idesc with
   | Mir.Idef (v, rv) -> (
-    let cls = class_id env (Cost.class_of_rvalue rv) in
     (* Static cost; [None] only for an intrinsic the target lacks, in
        which case the producer raises before the charge is reached. *)
     let cost_opt = Cost.def_cost_opt env.isa env.mode rv in
@@ -1807,66 +1772,66 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         in
         fun st ->
           let _value = g st in
-          echarge st cls cost;
+          echarge st cost;
           raise (Runtime_error msg)
       | Sreg (Rf d) -> (
         match prod with
-        | Pf f -> fun st -> set_f st cls cost d (f st)
-        | Pi f -> fun st -> set_f st cls cost d (float_of_int (f st))
-        | Pb f -> fun st -> set_f st cls cost d (if f st then 1.0 else 0.0)
+        | Pf f -> fun st -> set_f st cost d (f st)
+        | Pi f -> fun st -> set_f st cost d (float_of_int (f st))
+        | Pb f -> fun st -> set_f st cost d (if f st then 1.0 else 0.0)
         | Pc f ->
           fun st ->
             let z = f st in
-            echarge st cls cost;
+            echarge st cost;
             if z.Complex.im = 0.0 then Array.unsafe_set st.fregs d z.Complex.re
             else
               invalid_arg "Value.to_float: complex with non-zero imaginary part"
         | Pg g ->
           fun st ->
             let value = g st in
-            echarge st cls cost;
+            echarge st cost;
             Array.unsafe_set st.fregs d (V.to_float (scalar_of_value value)))
       | Sreg (Ri d) -> (
         match prod with
-        | Pi f -> fun st -> set_i st cls cost d (f st)
+        | Pi f -> fun st -> set_i st cost d (f st)
         | Pf f ->
-          fun st -> set_i st cls cost d (int_of_float (Float.round (f st)))
-        | Pb f -> fun st -> set_i st cls cost d (if f st then 1 else 0)
+          fun st -> set_i st cost d (int_of_float (Float.round (f st)))
+        | Pb f -> fun st -> set_i st cost d (if f st then 1 else 0)
         | Pc f ->
           fun st ->
             let _z = f st in
-            echarge st cls cost;
+            echarge st cost;
             invalid_arg "Value.coerce: complex into int"
         | Pg g ->
           fun st ->
             let value = g st in
-            echarge st cls cost;
+            echarge st cost;
             Array.unsafe_set st.iregs d
               (Store.coerce_int_exn (scalar_of_value value)))
       | Sreg (Rb d) -> (
         match prod with
-        | Pb f -> fun st -> set_b st cls cost d (f st)
-        | Pf f -> fun st -> set_b st cls cost d (f st <> 0.0)
-        | Pi f -> fun st -> set_b st cls cost d (f st <> 0)
-        | Pc f -> fun st -> set_b st cls cost d (Complex.norm (f st) <> 0.0)
+        | Pb f -> fun st -> set_b st cost d (f st)
+        | Pf f -> fun st -> set_b st cost d (f st <> 0.0)
+        | Pi f -> fun st -> set_b st cost d (f st <> 0)
+        | Pc f -> fun st -> set_b st cost d (Complex.norm (f st) <> 0.0)
         | Pg g ->
           fun st ->
             let value = g st in
-            echarge st cls cost;
+            echarge st cost;
             Array.unsafe_set st.bregs d (V.to_bool (scalar_of_value value)))
       | Sreg (Rc d) -> (
         match prod with
         | Pc f ->
           fun st ->
             let z = f st in
-            set_c st cls cost d z.Complex.re z.Complex.im
-        | Pf f -> fun st -> set_c st cls cost d (f st) 0.0
-        | Pi f -> fun st -> set_c st cls cost d (float_of_int (f st)) 0.0
-        | Pb f -> fun st -> set_c st cls cost d (if f st then 1.0 else 0.0) 0.0
+            set_c st cost d z.Complex.re z.Complex.im
+        | Pf f -> fun st -> set_c st cost d (f st) 0.0
+        | Pi f -> fun st -> set_c st cost d (float_of_int (f st)) 0.0
+        | Pb f -> fun st -> set_c st cost d (if f st then 1.0 else 0.0) 0.0
         | Pg g ->
           fun st ->
             let value = g st in
-            echarge st cls cost;
+            echarge st cost;
             let z = V.to_complex (scalar_of_value value) in
             Array.unsafe_set st.cregs (2 * d) z.Complex.re;
             Array.unsafe_set st.cregs ((2 * d) + 1) z.Complex.im)
@@ -1874,42 +1839,43 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         let g = gen_of_prod prod in
         fun st ->
           let value = g st in
-          echarge st cls cost;
+          echarge st cost;
           write_vreg st d lanes sty value
       | Sreg (Rg d) ->
         let g = gen_of_prod prod in
         let co = coerce_fast sty in
         fun st ->
           let value = g st in
-          echarge st cls cost;
+          echarge st cost;
           Array.unsafe_set st.gregs d (co value)
     in
     let fused =
       match (cost_opt, slot) with
       | None, _ -> None
-      | Some _, Sreg (Rf d) -> compile_fdef env d rv cls cost
-      | Some _, Sreg (Ri d) -> compile_idef env d rv cls cost
-      | Some _, Sreg (Rb d) -> compile_bdef env d rv cls cost
-      | Some _, Sreg (Rc d) -> compile_cdef env d rv cls cost
+      | Some _, Sreg (Rf d) -> compile_fdef env d rv cost
+      | Some _, Sreg (Ri d) -> compile_idef env d rv cost
+      | Some _, Sreg (Rb d) -> compile_bdef env d rv cost
+      | Some _, Sreg (Rc d) -> compile_cdef env d rv cost
       | Some _, Sreg (Rv (d, lanes)) ->
-        compile_vdef env d lanes rv cls cost generic
+        compile_vdef env d lanes rv cost generic
       | Some _, _ -> None
     in
-    Straight (cls, cost, match fused with Some f -> f | None -> generic ()))
+    let intrin = match rv with Mir.Rintrin (name, _) -> Some name | _ -> None in
+    charged ?intrin (Cost.class_of_rvalue rv) cost
+      (match fused with Some f -> f | None -> generic ()))
   | Mir.Istore (a, idx, x) -> (
     match arr_ref env a with
-    | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
+    | Error msg -> Straight (None, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
       let ix = index_of env idx ~len:aslot.alen ~what:a.Mir.vname in
       let ox = oper_of env x in
-      let cls = class_id env "mem" in
       let sty = Mir.elem_ty a in
       let cost =
         Cost.store_cost env.isa env.mode ~cplx:(sty.Mir.cplx = MT.Complex)
       in
       let k = aslot.aidx in
-      Straight (cls, cost,
-      match aslot.bank with
+      charged "mem" cost
+      (match aslot.bank with
       | AKf -> (
         match reg_tag ox with
         | Some (t, s) ->
@@ -1917,28 +1883,28 @@ and compile_desc env (desc : Mir.instr_desc) : step =
           fun st ->
             let i = index st ix in
             Array.unsafe_set (Array.unsafe_get st.farrs k) i (rd_f st t s);
-            echarge st cls cost
+            echarge st cost
         | None ->
           let gx = f_read ox in
           fun st ->
             let i = index st ix in
             let x = gx st in
             Array.unsafe_set (Array.unsafe_get st.farrs k) i x;
-            echarge st cls cost)
+            echarge st cost)
       | AKi ->
         let gx = ci_read ox in
         fun st ->
           let i = index st ix in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.iarrs k) i x;
-          echarge st cls cost
+          echarge st cost
       | AKb ->
         let gx = b_read ox in
         fun st ->
           let i = index st ix in
           let x = gx st in
           Array.unsafe_set (Array.unsafe_get st.barrs k) i x;
-          echarge st cls cost
+          echarge st cost
       | AKc -> (
         match ox with
         | Oc s ->
@@ -1950,7 +1916,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
             let ca = Array.unsafe_get st.carrs k in
             Array.unsafe_set ca (2 * i) re;
             Array.unsafe_set ca ((2 * i) + 1) im;
-            echarge st cls cost
+            echarge st cost
         | _ ->
           let gx = c_read ox in
           fun st ->
@@ -1959,14 +1925,13 @@ and compile_desc env (desc : Mir.instr_desc) : step =
             let ca = Array.unsafe_get st.carrs k in
             Array.unsafe_set ca (2 * i) z.Complex.re;
             Array.unsafe_set ca ((2 * i) + 1) z.Complex.im;
-            echarge st cls cost))))
+            echarge st cost))))
   | Mir.Ivstore (a, base, x, lanes) -> (
     match arr_ref env a with
-    | Error msg -> Straight (-1, 0, fun _ -> raise (Runtime_error msg))
+    | Error msg -> Straight (None, fun _ -> raise (Runtime_error msg))
     | Ok aslot -> (
       let len = aslot.alen and k = aslot.aidx and name = a.Mir.vname in
       let ix = index_of env base ~len ~what:name in
-      let cls = class_id env "simd" in
       let cost = Cost.vstore_cost env.isa in
       let ox = oper_of env x in
       (* Elementwise coercing store into the typed bank, identical to
@@ -1998,12 +1963,12 @@ and compile_desc env (desc : Mir.instr_desc) : step =
           for j = 0 to lanes - 1 do
             set_elem st (b + j) (Array.unsafe_get vec j)
           done;
-          echarge st cls cost
+          echarge st cost
         | Value.Vector _ -> fail "vector store width mismatch"
         | Value.Scalar _ -> fail "vector store of a scalar"
       in
-      Straight (cls, cost,
-      match (aslot.bank, ox) with
+      charged "simd" cost
+      (match (aslot.bank, ox) with
       | AKf, Ov (s, vl) ->
         (* The dominant vectorized shape: unboxed register into a
            real-double array is a straight blit. *)
@@ -2018,7 +1983,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
                 0
                 (Array.unsafe_get st.farrs k)
                 b lanes;
-              echarge st cls cost
+              echarge st cost
             end
             else fail "vector store width mismatch"
           | Some v -> store_boxed st b v)
@@ -2031,25 +1996,25 @@ and compile_desc env (desc : Mir.instr_desc) : step =
   | Mir.Iif (c, then_b, else_b) ->
     let gc = b_read (oper_of env c) in
     let ft = compile_block env then_b and fe = compile_block env else_b in
-    let cls = class_id env "branch" in
     let cost = Cost.branch_cost env.isa in
+    let site = control_site env line "branch" cost in
     Control
       (fun st ->
-        charge st cls cost;
+        charge_at st site cost;
         if gc st then ft st else fe st)
   | Mir.Iloop { ivar; lo; step; hi; body } ->
-    Control (compile_loop env ivar lo step hi body)
+    Control (compile_loop env line ivar lo step hi body)
   | Mir.Iwhile { cond_block; cond; body } ->
     let fcond_b = compile_block env cond_block in
     let gc = b_read (oper_of env cond) in
     let fbody = catch_continue body (compile_block env body) in
-    let cls = class_id env "branch" in
     let cost = Cost.branch_cost env.isa in
+    let site = control_site env line "branch" cost in
     let run st =
       let continue_ = ref true in
       while !continue_ do
         fcond_b st;
-        charge st cls cost;
+        charge_at st site cost;
         if gc st then fbody st else continue_ := false
       done
     in
@@ -2075,7 +2040,7 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         ops
     in
     let flatten st = List.concat_map (fun fetch -> fetch st) fetchers in
-    Straight (-1, 0,
+    Straight (None,
     match fmt with
     | Some f -> fun st -> Buffer.add_string st.out (render_format f (flatten st))
     | None ->
@@ -2087,19 +2052,15 @@ and compile_desc env (desc : Mir.instr_desc) : step =
         Buffer.add_char st.out '\n'))
   | Mir.Icomment text ->
     if String.length text >= 6 && String.sub text 0 6 = "inline" then (
-      let cls = class_id env "call" in
       let cost = Cost.call_boundary_cost env.isa env.mode in
-      Straight (cls, cost, fun st -> echarge st cls cost))
-    else Straight (-1, 0, fun _ -> ())
+      charged "call" cost (fun st -> echarge st cost))
+    else Straight (None, fun _ -> ())
 
-and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
-  let lcls = class_id env "loop" in
-  let lcost = Cost.loop_iter_cost env.isa in
-  let fbody =
-    catch_continue body (compile_block ~lead:(lcls, lcost) env body)
-  in
-  let bcls = class_id env "branch" in
+and compile_loop env line (ivar : Mir.var) lo step hi body : state -> unit =
+  let lead = row env line "loop" (Cost.loop_iter_cost env.isa) in
+  let fbody = catch_continue body (compile_block ~lead env body) in
   let bcost = Cost.branch_cost env.isa in
+  let bsite = control_site env line "branch" bcost in
   let ivslot = slot_of env ivar in
   let olo = oper_of env lo
   and ostep = oper_of env step
@@ -2148,7 +2109,7 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
     in
     fun st ->
       iterate st;
-      charge st bcls bcost
+      charge_at st bsite bcost
   | Sreg (Rf iv), `Float ->
     (* At least one bound is statically Sf, so [int_loop] is false and
        induction values are raw [Sf] — matching the Double slot. The
@@ -2179,7 +2140,7 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
     in
     fun st ->
       iterate st;
-      charge st bcls bcost
+      charge_at st bsite bcost
   | ivslot, _ ->
     (* General path: boxed bounds, runtime int/float dispatch, raw
        boxed induction writes. The demotion pass guarantees the
@@ -2234,7 +2195,7 @@ and compile_loop env (ivar : Mir.var) lo step hi body : state -> unit =
         end
       in
       if brk then (try go lo_v with Break_exc -> ()) else go lo_v;
-      charge st bcls bcost
+      charge_at st bsite bcost
 
 (* ---------------- whole-function plans ---------------- *)
 
@@ -2272,11 +2233,11 @@ type t = {
   cspecs : aspec array;
   classes : string array;  (* interned class id -> name *)
   abytes : int;  (* static array footprint, for the allocation cap *)
-  profiled : bool;  (* attribution wrappers compiled in *)
+  sites : row array array;  (* charge site id -> its rows *)
   body_fn : state -> unit;
 }
 
-let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
+let compile ~isa ~mode (f : Mir.func) : t =
   (* Variable collection pre-pass: params, rets, declared vars, then a
      defensive body walk (the tree-walker materializes cells lazily for
      any vid it meets, so the plan must cover the same set). *)
@@ -2511,8 +2472,9 @@ let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
         Hashtbl.add slots v.Mir.vid (Sarr { bank; aidx = idx; alen = n }))
     vars;
   let env =
-    { isa; mode; profile; slots;
+    { isa; mode; slots;
       cls_ids = Hashtbl.create 16; cls_rev = []; ncls = 0;
+      sites_rev = []; nsites = 0;
       nfx = !nf; nix = !ni; nbx = !nb; ncx = !nc;
       fdedup = Hashtbl.create 16; idedup = Hashtbl.create 16;
       bdedup = Hashtbl.create 4; cdedup = Hashtbl.create 8;
@@ -2548,7 +2510,7 @@ let compile ?(profile = false) ~isa ~mode (f : Mir.func) : t =
     cspecs = Array.of_list (List.rev !csp);
     classes = Array.of_list (List.rev env.cls_rev);
     abytes = Exec.array_bytes_of_func f;
-    profiled = profile;
+    sites = Array.of_list (List.rev env.sites_rev);
     body_fn }
 
 let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
@@ -2557,10 +2519,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
   if List.length args <> p.nparams then
     fail "%s expects %d arguments, received %d" p.fname p.nparams
       (List.length args);
-  if profile <> None && not p.profiled then
-    invalid_arg
-      "Plan.execute: profile collector passed to a plan compiled without \
-       ~profile:true";
   Exec.check_alloc ~loc:p.fname ~cap_bytes:max_alloc_bytes p.abytes;
   (* Fault site: one draw per simulation; a firing draw schedules the
      failure at a seed-chosen dynamic-instruction index so mid-run
@@ -2570,7 +2528,6 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
     | Some (occ, step) -> (occ, step)
     | None -> (0, -1)
   in
-  let ncls = Array.length p.classes in
   let guard_on = Masc_fault.Cancel.armed () in
   (* No fuel trap up to [fuel] steps, no injected fault before
      [fault_step]. *)
@@ -2607,20 +2564,17 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       max_cycles;
       fuel;
       floc = p.fname;
-      hist = Array.make ncls 0;
-      seen = Array.make ncls false;
-      order = [];
+      counts = Array.make (Array.length p.sites) 0;
+      firsts = Array.make (Array.length p.sites) 0;
+      nfirst = 0;
       out = Buffer.create 256;
-      pcol = profile;
-      pon = profile <> None;
-      pcnt = (if profile = None then [||] else Array.make ncls 0);
       guard_on;
       fault_step = fault_step;
       fault_occ = fault_occ;
       base_event;
       next_event =
         (if guard_on then min base_event Exec.guard_mask else base_event);
-      exact = p.profiled }
+      exact = false }
   in
   Array.iter (fun (i, v) -> st.fregs.(i) <- v) p.finit;
   Array.iter (fun (i, v) -> st.iregs.(i) <- v) p.iinit;
@@ -2656,24 +2610,7 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
       | Bscalar (_, _, name), Xarray _ | Barray (_, name), Xscalar _ ->
         fail "argument %s: scalar/array mismatch" name)
     p.binds args;
-  (* Per-class attribution comes from the interned histogram plus the
-     profiling instr counters; flushed on the trap path too so the
-     collector stays consistent with [st.cycles] however the run ends. *)
-  let flush_profile () =
-    match st.pcol with
-    | None -> ()
-    | Some col ->
-      Array.iteri
-        (fun c cycles ->
-          Masc_obs.Profile.add_class col p.classes.(c) ~cycles
-            ~instrs:st.pcnt.(c))
-        st.hist
-  in
-  (try (try p.body_fn st with Return_exc -> ())
-   with e ->
-     flush_profile ();
-     raise e);
-  flush_profile ();
+  (try p.body_fn st with Return_exc -> ());
   let rets =
     List.map
       (function
@@ -2690,14 +2627,39 @@ let execute ?(max_cycles = 4_000_000_000) ?(fuel = Exec.default_fuel)
         | Sarr a -> Xarray (boxed_array a st))
       p.ret_slots
   in
-  (* Rebuild the class histogram through a Hashtbl populated in
-     first-charge order — the exact sequence of inserts the tree-walker
-     performs — so fold order, and therefore tie order after the
-     by-count sort, is bit-identical to [Interp.run_tree]. *)
+  (* The class histogram (and the profile, when collected) is each
+     entered site's rows times its entry count. Walking sites in
+     first-entry order, each site's rows in charge order, meets the
+     classes in first-charge order; the histogram is rebuilt through a
+     Hashtbl populated in that order — the exact sequence of inserts
+     the tree-walker performs — so fold order, and therefore tie order
+     after the by-count sort, is bit-identical to [Interp.run_tree]. *)
+  let hist = Array.make (Array.length p.classes) (-1) and cls_rev = ref [] in
+  for i = 0 to st.nfirst - 1 do
+    let s = st.firsts.(i) in
+    let k = st.counts.(s) in
+    Array.iter
+      (fun r ->
+        if hist.(r.cls) < 0 then begin
+          hist.(r.cls) <- 0;
+          cls_rev := r.cls :: !cls_rev
+        end;
+        let cycles = k * r.cyc in
+        hist.(r.cls) <- hist.(r.cls) + cycles;
+        match profile with
+        | None -> ()
+        | Some col ->
+          Masc_obs.Profile.add_line col r.line ~cycles ~instrs:k;
+          Masc_obs.Profile.add_class col p.classes.(r.cls) ~cycles ~instrs:k;
+          Option.iter
+            (fun n -> Masc_obs.Profile.add_intrin col n ~cycles ~instrs:k)
+            r.intrin)
+      p.sites.(s)
+  done;
   let h = Hashtbl.create 16 in
   List.iter
-    (fun c -> Hashtbl.replace h p.classes.(c) st.hist.(c))
-    (List.rev st.order);
+    (fun c -> Hashtbl.replace h p.classes.(c) hist.(c))
+    (List.rev !cls_rev);
   { rets;
     cycles = st.cycles;
     dyn_instrs = st.dyn;

@@ -29,25 +29,28 @@ type t
     (missing intrinsics, bad indices, type misuse) stay runtime errors
     raised at the same execution point as in the tree-walker.
 
-    [~profile:true] additionally compiles per-instruction attribution
-    wrappers into the closure tree, enabling source-line profiling via
-    [execute ?profile]. Simulated results (cycles, histogram, returns)
-    are unaffected; only wall-clock speed. The default plan carries no
-    profiling residue at all. *)
+    Every charge belongs to a static charge site — a straight-line
+    segment, or the charge point of an [if], a [while] test or a [for]
+    exit — whose per-charge rows (source line, opcode class, intrinsic,
+    cycles) are fixed here. A run keeps one ledger: how often each site
+    was entered, and in which order sites were first entered. *)
 val compile :
-  ?profile:bool ->
   isa:Masc_asip.Isa.t -> mode:Masc_asip.Cost_model.mode -> Masc_mir.Mir.func ->
   t
 
 (** [execute p args] runs the plan on fresh state. Argument binding,
     defaults and failure modes match {!Interp.run} exactly, including
     the {!Exec.Trap} guardrails (fuel, cycle limit, allocation cap).
+    The class histogram is derived from the site ledger when the run
+    returns.
 
     [?profile] supplies a collector that receives simulated cycles and
     dynamic instruction counts attributed per opcode class, per
     intrinsic, and per source line (exact partitions of the totals —
-    same contract as {!Interp.run_tree}). Requires a plan compiled with
-    [~profile:true]; raises [Invalid_argument] otherwise. *)
+    same contract as {!Interp.run_tree}), derived from the same ledger:
+    any plan can be profiled, and profiling does not change how it
+    runs. The collector is filled only when [execute] returns; a run
+    that raises leaves it untouched. *)
 val execute :
   ?max_cycles:int -> ?fuel:int -> ?max_alloc_bytes:int ->
   ?profile:Masc_obs.Profile.t -> t ->

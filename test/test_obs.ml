@@ -289,10 +289,10 @@ let profile_tree ~isa ~mode mir inputs =
   (r, Obs.Profile.snapshot p ~total_cycles:r.I.cycles
         ~total_instrs:r.I.dyn_instrs)
 
-let profile_plan ~isa ~mode mir inputs =
+let profile_plan ?fuel ~isa ~mode mir inputs =
   let p = Obs.Profile.create () in
-  let plan = Plan.compile ~profile:true ~isa ~mode mir in
-  let r = Plan.execute ~profile:p plan inputs in
+  let plan = Plan.compile ~isa ~mode mir in
+  let r = Plan.execute ?fuel ~profile:p plan inputs in
   (r, Obs.Profile.snapshot p ~total_cycles:r.I.cycles
         ~total_instrs:r.I.dyn_instrs)
 
@@ -324,7 +324,30 @@ let test_profile_differential () =
             (st.Obs.Profile.by_class = sp.Obs.Profile.by_class);
           Alcotest.(check bool) (name ^ ": identical intrinsic profiles")
             true
-            (st.Obs.Profile.by_intrin = sp.Obs.Profile.by_intrin))
+            (st.Obs.Profile.by_intrin = sp.Obs.Profile.by_intrin);
+          (* Segments that hold a deadline check step run in exact mode,
+             charging per instruction; a fuel budget of exactly the
+             run's length puts the last charge on the fuel limit. The
+             profile must not notice either. *)
+          List.iter
+            (fun (how, run) ->
+              let r, s = run () in
+              Alcotest.(check int) (name ^ ", " ^ how ^ ": cycles")
+                rt.I.cycles r.I.cycles;
+              Alcotest.(check bool)
+                (name ^ ", " ^ how ^ ": profile = unarmed plan's")
+                true (s = sp);
+              Alcotest.(check bool)
+                (name ^ ", " ^ how ^ ": profile = tree-walker's")
+                true (s = st))
+            [ ( "deadline armed",
+                fun () ->
+                  Masc_fault.Cancel.with_deadline ~ms:1e9 (fun () ->
+                      profile_plan ~isa ~mode compiled.C.mir inputs) );
+              ( "fuel = instrs",
+                fun () ->
+                  profile_plan ~fuel:rt.I.dyn_instrs ~isa ~mode
+                    compiled.C.mir inputs ) ])
         [ (C.proposed (), "proposed"); (C.coder_baseline (), "coder") ])
     (K.all ())
 

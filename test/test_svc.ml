@@ -84,6 +84,15 @@ let test_fault_check_raises () =
   (* disabled: checks are free and never fire *)
   Fault.check "cache.write"
 
+(* splitmix64's published first output from state 0, shared by the
+   fault decisions and the retry jitter. *)
+let test_splitmix64_known_answer () =
+  Alcotest.(check int64) "splitmix64 0" 0xE220A8397B1DCDAFL
+    (Fault.splitmix64 0L);
+  Alcotest.(check (float 0.0)) "to_unit 0" 0.0 (Fault.to_unit 0L);
+  Alcotest.(check (float 0.0)) "to_unit max" (1.0 -. epsilon_float /. 2.0)
+    (Fault.to_unit (-1L))
+
 (* ---- cooperative deadlines ---- *)
 
 let test_deadline_fires () =
@@ -558,7 +567,9 @@ let suites =
   [ ( "svc fault injection",
       [ Alcotest.test_case "deterministic draws" `Quick test_fault_determinism;
         Alcotest.test_case "spec parsing" `Quick test_fault_spec_parsing;
-        Alcotest.test_case "armed check raises" `Quick test_fault_check_raises
+        Alcotest.test_case "armed check raises" `Quick test_fault_check_raises;
+        Alcotest.test_case "splitmix64 known answer" `Quick
+          test_splitmix64_known_answer
       ] );
     ( "svc deadlines",
       [ Alcotest.test_case "deadline fires" `Quick test_deadline_fires;

@@ -854,6 +854,70 @@ let test_int_compare_promotes () =
       rets ops
   | _ -> Alcotest.fail "expected a finished run"
 
+(* Histogram ties keep the tree-walker's order. The plan derives its
+   histogram from charge-site counts and rebuilds it in first-charge
+   order: sites in first-entry order, rows in charge order. Each case
+   ties "branch", "loop", "alu" and "complex" at 4 cycles, with the
+   first charges coming, in a different order per case, from a while
+   test (after its condition block), an if, a loop lead and plain
+   segments. "alu" and "complex" share a bucket of the 16-bucket
+   histogram table, so their tie order follows first insertion; the
+   cases cover both orders, from one site and from nested sites. *)
+let test_histogram_tie_order () =
+  let x = mvar "x" 0 Mir.double_sty and z = mvar "z" 1 Mir.complex_sty in
+  let i = mvar "i" 2 Mir.int_sty in
+  let ins = Mir.instr in
+  let adds k =
+    List.init k (fun _ ->
+        ins
+          (Mir.Idef
+             (x, Mir.Rbin (Mir.Badd, Mir.Ovar x, Mir.Oconst (Mir.Cf 1.0)))))
+  and cpx k =
+    List.init k (fun _ ->
+        ins (Mir.Idef (z, Mir.Rcomplex (Mir.Ovar x, Mir.Oconst (Mir.Cf 1.0)))))
+  in
+  let no = Mir.Oconst (Mir.Cb false) and yes = Mir.Oconst (Mir.Cb true) in
+  let wh cond_block = [ ins (Mir.Iwhile { cond_block; cond = no; body = [] }) ]
+  and ifb t = [ ins (Mir.Iif (yes, t, [])) ]
+  and for2 body =
+    [ ins
+        (Mir.Iloop
+           { ivar = i; lo = Mir.Oconst (Mir.Ci 1); step = Mir.Oconst (Mir.Ci 1);
+             hi = Mir.Oconst (Mir.Ci 2); body }) ]
+  in
+  let cases =
+    [ ("while, segment, lead", wh (cpx 4) @ adds 4 @ for2 []);
+      ("segment, if, lead", adds 2 @ ifb (cpx 4) @ for2 (adds 1));
+      ("lead then while", for2 (cpx 2 @ adds 2) @ wh []);
+      ("lead then if", for2 (adds 2 @ cpx 2) @ ifb []);
+      ("while, lead, segment", wh [] @ for2 (cpx 2) @ adds 4) ]
+  in
+  let orders =
+    List.map
+      (fun (tag, body) ->
+        let f =
+          { Mir.name = "ties"; params = []; rets = [ x; z ]; vars = [ x; z; i ];
+            body }
+        in
+        Masc_mir.Verify.check f;
+        let t =
+          I.run_tree ~isa:T.dsp8 ~mode:Masc_asip.Cost_model.Proposed f []
+        in
+        Alcotest.(check (list (pair string int)))
+          (tag ^ ": four classes tie")
+          [ ("alu", 4); ("branch", 4); ("complex", 4); ("loop", 4) ]
+          (List.sort compare t.I.histogram);
+        (match check_case (tag, f, []) with
+        | `Done (_, _, h, _, _) ->
+          Alcotest.(check (list (pair string int)))
+            (tag ^ ": plan histogram = tree-walker's") t.I.histogram h
+        | _ -> Alcotest.failf "%s: expected a finished run" tag);
+        List.map fst t.I.histogram)
+      cases
+  in
+  Alcotest.(check bool) "the cases reach more than one tie order" true
+    (List.length (List.sort_uniq compare orders) > 1)
+
 (* A coder-style loop nest — int index arithmetic, f64 loads, mul/add,
    store — runs on fused closures that read the banks directly: it
    allocates nothing per repetition. *)
@@ -897,6 +961,8 @@ let plan_suites =
         Alcotest.test_case "fault at every seed" `Slow test_fault_every_seed;
         Alcotest.test_case "armed deadline" `Quick test_armed_deadline;
         Alcotest.test_case "loop handlers" `Quick test_loop_handlers;
+        Alcotest.test_case "histogram tie order" `Quick
+          test_histogram_tie_order;
         Alcotest.test_case "simd allocation-free" `Quick
           test_simd_allocation_free;
         Alcotest.test_case "fused memory shapes" `Quick test_fused_memory;
