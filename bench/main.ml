@@ -385,56 +385,55 @@ let bechamel_print data =
 
 (* ---------------- json: machine-readable perf trajectory -------------- *)
 
-(* Schema documented in bench/README.md; bump schema_version on change. *)
+(* Schema documented in bench/README.md; bump schema_version on change.
+   Measured floats are recorded to 6 significant digits, as in every
+   earlier recording, so `mascc bench diff` can compare Fig. 3
+   speedups across recordings bit for bit. *)
 let json () =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let esc s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  let open Masc_obs.Ojson in
+  let num f = Num (float_of_string (Printf.sprintf "%.6g" f)) in
+  let opt = function Some f -> num f | None -> Null in
+  let table2 =
+    List.map
+      (fun r ->
+        Obj
+          [ ("kernel", Str r.t2kernel); ("baseline_cycles", int r.t2baseline);
+            ("proposed_cycles", int r.t2proposed); ("speedup", num r.t2speedup);
+            ("passes_run", int r.t2passes_run);
+            ("passes_skipped", int r.t2passes_skipped) ])
+      (table2_data ())
   in
-  let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
-  let sep xs f = List.iteri (fun i x -> (if i > 0 then add ","); f x) xs in
-  add "{\n";
-  add "  \"schema_version\": 5,\n";
-  add "  \"generator\": \"bench/main.exe json\",\n";
-  add "  \"jobs\": %d,\n" !jobs;
-  add "  \"host_cores\": %d,\n" (Masc.Parallel.default_jobs ());
-  add "  \"table2\": [";
-  sep (table2_data ()) (fun r ->
-      add "\n    {\"kernel\": \"%s\", \"baseline_cycles\": %d, \
-           \"proposed_cycles\": %d, \"speedup\": %s, \"passes_run\": %d, \
-           \"passes_skipped\": %d}"
-        (esc r.t2kernel) r.t2baseline r.t2proposed (jfloat r.t2speedup)
-        r.t2passes_run r.t2passes_skipped);
-  add "\n  ],\n";
-  add "  \"fig3\": [";
-  sep (fig3_data ()) (fun (kname, per_target) ->
-      add "\n    {\"kernel\": \"%s\", \"speedup_vs_baseline\": {" (esc kname);
-      sep per_target (fun (tname, s) ->
-          add "\"%s\": %s" (esc tname) (jfloat s));
-      add "}}");
-  add "\n  ],\n";
-  add "  \"bechamel_ns_per_run\": [";
-  sep (bechamel_data ()) (fun (name, est, words) ->
-      add "\n    {\"name\": \"%s\", \"ns_per_run\": %s," (esc name)
-        (match est with Some e -> jfloat e | None -> "null");
-      add " \"minor_words_per_run\": %s}"
-        (match words with Some w -> jfloat w | None -> "null"));
-  add "\n  ],\n";
+  let fig3 =
+    List.map
+      (fun (kname, per_target) ->
+        Obj
+          [ ("kernel", Str kname);
+            ( "speedup_vs_baseline",
+              Obj (List.map (fun (tname, s) -> (tname, num s)) per_target) ) ])
+      (fig3_data ())
+  in
+  let bechamel =
+    List.map
+      (fun (name, est, words) ->
+        Obj
+          [ ("name", Str name); ("ns_per_run", opt est);
+            ("minor_words_per_run", opt words) ])
+      (bechamel_data ())
+  in
   (* Process-wide telemetry counters accumulated while producing the
      numbers above (pass runs/skips, compile-cache traffic, simulator
-     activity) — same registry and format as `mascc --metrics`. *)
+     activity) — same registry as `mascc --metrics`. *)
   Masc_obs.Metrics.set "gc.minor_words" (Gc.minor_words ());
-  add "  \"metrics\": %s\n}\n" (Masc_obs.Metrics.dump_json ());
-  print_string (Buffer.contents buf)
+  print_string
+    (to_string ~layout:Doc
+       (Obj
+          [ ("schema_version", int 5);
+            ("generator", Str "bench/main.exe json");
+            ("jobs", int !jobs);
+            ("host_cores", int (Masc.Parallel.default_jobs ()));
+            ("table2", Arr table2); ("fig3", Arr fig3);
+            ("bechamel_ns_per_run", Arr bechamel);
+            ("metrics", Masc_obs.Metrics.to_json ()) ]))
 
 (* ---------------- overhead: profiler cost measurement ---------------- *)
 

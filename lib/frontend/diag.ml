@@ -196,36 +196,22 @@ let render ?source d =
 
 (* ---------------- machine-readable form ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One JSON object per diagnostic — a stable machine-readable contract
    for batch/CI drivers ([mascc --diag-format json] emits one per
    line). Dummy spans serialize as zeros. *)
 let to_json d =
   let sp = d.span in
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"phase\":\"%s\",\"line\":%d,\"col\":%d,\
-     \"end_line\":%d,\"end_col\":%d,\"message\":\"%s\"}"
-    (Severity.name d.severity) (phase_name d.phase)
-    (max 0 sp.Loc.start_pos.Loc.line)
-    (max 0 sp.Loc.start_pos.Loc.col)
-    (max 0 sp.Loc.end_pos.Loc.line)
-    (max 0 sp.Loc.end_pos.Loc.col)
-    (json_escape d.message)
+  let pos n = Masc_obs.Ojson.int (max 0 n) in
+  Masc_obs.Ojson.(
+    to_string
+      (Obj
+         [ ("severity", Str (Severity.name d.severity));
+           ("phase", Str (phase_name d.phase));
+           ("line", pos sp.Loc.start_pos.Loc.line);
+           ("col", pos sp.Loc.start_pos.Loc.col);
+           ("end_line", pos sp.Loc.end_pos.Loc.line);
+           ("end_col", pos sp.Loc.end_pos.Loc.col);
+           ("message", Str d.message) ]))
 
 (* ---------------- legacy exception rendering ---------------- *)
 

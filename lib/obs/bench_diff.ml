@@ -234,18 +234,14 @@ let render_text v =
   Buffer.contents b
 
 let render_json v =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"ok\":%b,\"schema_old\":%d,\"schema_new\":%d,\"checks\":["
-       v.v_ok v.v_schema_old v.v_schema_new);
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n{\"name\":\"%s\",\"status\":\"%s\",\"message\":\"%s\"}"
-           (Trace_escape.json c.c_name)
-           (status_word c.c_status)
-           (Trace_escape.json c.c_msg)))
-    v.v_checks;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let open Ojson in
+  let check c =
+    Obj
+      [ ("name", Str c.c_name); ("status", Str (status_word c.c_status));
+        ("message", Str c.c_msg) ]
+  in
+  to_string ~layout:Doc
+    (Obj
+       [ ("ok", Bool v.v_ok); ("schema_old", int v.v_schema_old);
+         ("schema_new", int v.v_schema_new);
+         ("checks", Arr (List.map check v.v_checks)) ])

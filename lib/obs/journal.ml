@@ -92,19 +92,13 @@ let set_attempt n =
 (* One JSON object per line; detail pairs are flattened in as string
    values after the fixed fields, so every line is self-describing. *)
 let render_event ev =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"seq\":%d,\"ts_ns\":%Ld,\"rid\":%d,\"attempt\":%d,\"dom\":%d,\"kind\":\"%s\""
-       ev.seq ev.ts_ns ev.rid ev.attempt ev.dom (Trace_escape.json ev.kind));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"%s\":\"%s\"" (Trace_escape.json k)
-           (Trace_escape.json v)))
-    ev.detail;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open Ojson in
+  to_string
+    (Obj
+       ([ ("seq", int ev.seq); ("ts_ns", Num (Int64.to_float ev.ts_ns));
+          ("rid", int ev.rid); ("attempt", int ev.attempt);
+          ("dom", int ev.dom); ("kind", Str ev.kind) ]
+       @ List.map (fun (k, v) -> (k, Str v)) ev.detail))
 
 let emit ?rid ?(detail = []) kind =
   if Atomic.get enabled then begin
@@ -165,61 +159,29 @@ let to_jsonl () =
 
    Two journals from reruns with the same fault seed differ only in
    time-valued fields: [ts_ns] and any detail key ending in [_ms] or
-   [_ns] (latencies, backoff delays). [normalize] rewrites those values
-   to 0 so byte comparison tests determinism of everything else. *)
+   [_ns] (latencies, backoff delays). [normalize] zeroes those values,
+   numbers and strings alike, so byte comparison tests determinism of
+   everything else. Lines that are not JSON objects pass through
+   unchanged. *)
 
-let is_numchar c =
-  (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '+' || c = 'e' || c = 'E'
+let time_key k =
+  k = "ts_ns"
+  || String.ends_with ~suffix:"_ms" k
+  || String.ends_with ~suffix:"_ns" k
 
-let normalize_line line =
-  let n = String.length line in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  let time_key k =
-    k = "ts_ns"
-    || (String.length k > 3
-        && (String.sub k (String.length k - 3) 3 = "_ms"
-            || String.sub k (String.length k - 3) 3 = "_ns"))
-  in
-  while !i < n do
-    let c = line.[!i] in
-    Buffer.add_char b c;
-    incr i;
-    (* after every  "key":  decide whether to zero the value *)
-    if c = '"' && !i < n then begin
-      (* scan the key *)
-      let j = ref !i in
-      while !j < n && line.[!j] <> '"' do incr j done;
-      if !j < n && !j + 1 < n && line.[!j + 1] = ':' then begin
-        let key = String.sub line !i (!j - !i) in
-        Buffer.add_string b key;
-        Buffer.add_string b "\":";
-        i := !j + 2;
-        if time_key key then begin
-          (* value is either a bare number or a quoted number *)
-          let quoted = !i < n && line.[!i] = '"' in
-          if quoted then incr i;
-          let k = ref !i in
-          while !k < n && is_numchar line.[!k] do incr k done;
-          if !k > !i then begin
-            i := !k;
-            if quoted && !i < n && line.[!i] = '"' then begin
-              incr i;
-              Buffer.add_string b "\"0\""
-            end
-            else if quoted then Buffer.add_string b "\"0"
-            else Buffer.add_char b '0'
-          end
-          else if quoted then Buffer.add_char b '"'
-        end
-      end
-    end
-  done;
-  Buffer.contents b
+let zero_time (k, v) =
+  match v with
+  | Ojson.Num _ when time_key k -> (k, Ojson.Num 0.0)
+  | Ojson.Str _ when time_key k -> (k, Ojson.Str "0")
+  | _ -> (k, v)
 
 let normalize text =
   String.split_on_char '\n' text
-  |> List.map normalize_line
+  |> List.map (fun line ->
+         match Ojson.parse line with
+         | Ok (Ojson.Obj fields) ->
+           Ojson.to_string (Ojson.Obj (List.map zero_time fields))
+         | _ -> line)
   |> String.concat "\n"
 
 (* ---- flight dump ----

@@ -68,11 +68,9 @@ val to_jsonl : unit -> string
 val render_event : event -> string
 
 (** Zero every time-valued field ([ts_ns] and any key ending in [_ms]
-    or [_ns]) so journals from reruns with the same fault seed compare
-    byte-identical. *)
+    or [_ns]) of each JSONL line, so journals from reruns with the same
+    fault seed compare byte-identical. *)
 val normalize : string -> string
-
-val normalize_line : string -> string
 
 (** Human-readable recorder tail ([limit] newest events, optionally for
     one request) for crash / trap / quarantine reports. *)

@@ -126,28 +126,17 @@ let dump_text () =
     (sorted ());
   Buffer.contents b
 
-let dump_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n\"%s\":" m.mname);
-      (match m.kind with
-      | Counter ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"counter\",\"value\":%d}" m.count)
-      | Gauge ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"gauge\",\"value\":%s}" (pp_float m.value))
-      | Histogram ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-             m.count (pp_float m.sum) (pp_float m.vmin) (pp_float m.vmax)
-             (pp_float (hist_quantile m 50.0))
-             (pp_float (hist_quantile m 90.0))
-             (pp_float (hist_quantile m 99.0)))))
-    (sorted ());
-  Buffer.add_string b "\n}";
-  Buffer.contents b
+let to_json () =
+  let open Ojson in
+  let fields m =
+    match m.kind with
+    | Counter -> [ ("type", Str "counter"); ("value", int m.count) ]
+    | Gauge -> [ ("type", Str "gauge"); ("value", Num m.value) ]
+    | Histogram ->
+      [ ("type", Str "histogram"); ("count", int m.count); ("sum", Num m.sum);
+        ("min", Num m.vmin); ("max", Num m.vmax) ]
+      @ List.map
+          (fun (k, p) -> (k, Num (hist_quantile m p)))
+          [ ("p50", 50.0); ("p90", 90.0); ("p99", 99.0) ]
+  in
+  Obj (List.map (fun m -> (m.mname, Obj (fields m))) (sorted ()))

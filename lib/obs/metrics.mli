@@ -31,8 +31,8 @@ val quantile : float array -> float -> float
     p50/p90/p99 from retained samples. *)
 val dump_text : unit -> string
 
-(** JSON object keyed by metric name, sorted; stable schema
-    [{"type":"counter","value":n}] / [{"type":"gauge",...}] /
+(** The registry as a JSON object keyed by metric name, sorted; stable
+    schema [{"type":"counter","value":n}] / [{"type":"gauge",...}] /
     [{"type":"histogram","count":n,"sum":s,"min":m,"max":M,
       "p50":..,"p90":..,"p99":..}]. *)
-val dump_json : unit -> string
+val to_json : unit -> Ojson.t

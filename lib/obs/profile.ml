@@ -125,32 +125,19 @@ let render ?source snap =
   Buffer.contents b
 
 let to_json snap =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"total_cycles\":%d,\"total_instrs\":%d,"
-       snap.total_cycles snap.total_instrs);
-  Buffer.add_string b "\"lines\":[";
-  List.iteri
-    (fun i (line, cycles, instrs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"line\":%d,\"cycles\":%d,\"instrs\":%d}" line
-           cycles instrs))
-    snap.by_line;
-  Buffer.add_string b "],";
-  let arr name rows =
-    Buffer.add_string b (Printf.sprintf "\"%s\":[" name);
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"cycles\":%d,\"instrs\":%d}"
-             (Trace.json_escape r.key) r.cycles r.instrs))
-      rows;
-    Buffer.add_string b "]"
+  let open Ojson in
+  let row name key cycles instrs =
+    Obj [ (name, key); ("cycles", int cycles); ("instrs", int instrs) ]
   in
-  arr "classes" snap.by_class;
-  Buffer.add_char b ',';
-  arr "intrinsics" snap.by_intrin;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let rows l =
+    Arr (List.map (fun r -> row "name" (Str r.key) r.cycles r.instrs) l)
+  in
+  to_string ~layout:Doc
+    (Obj
+       [ ("total_cycles", int snap.total_cycles);
+         ("total_instrs", int snap.total_instrs);
+         ( "lines",
+           Arr
+             (List.map (fun (l, c, i) -> row "line" (int l) c i) snap.by_line)
+         );
+         ("classes", rows snap.by_class); ("intrinsics", rows snap.by_intrin) ])

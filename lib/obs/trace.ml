@@ -88,8 +88,6 @@ let dump () = Mutex.protect lock (fun () -> List.rev !events)
    The "JSON Array Format" with complete ("ph":"X") events; loadable in
    chrome://tracing and Perfetto. Timestamps are microseconds. *)
 
-let json_escape = Trace_escape.json
-
 (* Requests get their own lanes, offset past any plausible domain id,
    so chrome://tracing shows one row per request instead of one
    undifferentiated stream per domain. *)
@@ -105,60 +103,43 @@ let chrome_json () =
         | c -> c)
       (dump ())
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let add_event s =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b s
-  in
+  let open Ojson in
+  let strs l = Obj (List.map (fun (k, v) -> (k, Str v)) l) in
   (* thread_name metadata labels each lane: request lanes by request
      id, remaining lanes by domain id *)
   let lanes = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      let lane = lane_of ev in
-      if not (Hashtbl.mem lanes lane) then begin
-        Hashtbl.replace lanes lane ();
-        let label =
-          if ev.rid >= 0 then Printf.sprintf "request %d" ev.rid
-          else Printf.sprintf "domain %d" ev.tid
-        in
-        add_event
-          (Printf.sprintf
-             "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-             lane label)
-      end)
-    evs;
-  List.iter
-    (fun ev ->
-      add_event
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape ev.name) (json_escape ev.cat)
-           (Int64.to_float ev.ts_ns /. 1e3)
-           (Int64.to_float ev.dur_ns /. 1e3)
-           (lane_of ev));
-      let args =
-        if ev.rid >= 0 then ("rid", string_of_int ev.rid) :: ev.args
-        else ev.args
+  let lane_name ev =
+    let lane = lane_of ev in
+    if Hashtbl.mem lanes lane then None
+    else begin
+      Hashtbl.replace lanes lane ();
+      let label =
+        if ev.rid >= 0 then Printf.sprintf "request %d" ev.rid
+        else Printf.sprintf "domain %d" ev.tid
       in
-      (match args with
-      | [] -> ()
-      | args ->
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-          args;
-        Buffer.add_char b '}');
-      Buffer.add_char b '}')
-    evs;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+      Some
+        (Obj
+           [ ("name", Str "thread_name"); ("ph", Str "M"); ("pid", int 1);
+             ("tid", int lane); ("args", strs [ ("name", label) ]) ])
+    end
+  in
+  let complete ev =
+    let args =
+      if ev.rid >= 0 then ("rid", string_of_int ev.rid) :: ev.args
+      else ev.args
+    in
+    let us ns = Num (Int64.to_float ns /. 1e3) in
+    Obj
+      ([ ("name", Str ev.name); ("cat", Str ev.cat); ("ph", Str "X");
+         ("ts", us ev.ts_ns); ("dur", us ev.dur_ns); ("pid", int 1);
+         ("tid", int (lane_of ev)) ]
+      @ if args = [] then [] else [ ("args", strs args) ])
+  in
+  to_string ~layout:Doc
+    (Obj
+       [ ( "traceEvents",
+           Arr (List.filter_map lane_name evs @ List.map complete evs) );
+         ("displayTimeUnit", Str "ms") ])
 
 (* ---- plain-text tree summary ----
    Spans complete children-before-parents within a domain, so a single

@@ -292,100 +292,65 @@ let render_line ~index (o : Request.outcome) =
 
 (* ---- JSON summary ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let metric name =
-  int_of_float (Option.value ~default:0.0 (Masc_obs.Metrics.get name))
-
 let summary_json (outcomes : Request.outcome list) =
-  let b = Buffer.create 4096 in
+  let open Masc_obs.Ojson in
+  let metric name = Option.value ~default:0.0 (Masc_obs.Metrics.get name) in
+  let metrics keys = List.map (fun (k, name) -> (k, Num (metric name))) keys in
   let lat =
     Array.of_list (List.map (fun o -> o.Request.o_latency_ms) outcomes)
   in
-  let percentile samples p = Masc_obs.Metrics.quantile samples p in
-  let count cls =
-    List.length
-      (List.filter
-         (fun o -> Request.status_class o.Request.o_status = cls)
-         outcomes)
+  let status_of o = Request.status_class o.Request.o_status in
+  let request i (o : Request.outcome) =
+    (* Non-ok outcomes cite their flight-recorder offsets: with no
+       drops, journal seq = JSONL line index, so the summary alone
+       tells you where in the journal the failure story lives. *)
+    let journal =
+      if Masc_obs.Journal.is_enabled () && status_of o <> "ok" then
+        [ ("journal", Arr (List.map int (Masc_obs.Journal.seqs_for ~rid:i))) ]
+      else []
+    in
+    Obj
+      ([ ("index", int i); ("label", Str o.Request.o_label);
+         ("op", Str (op_name o.Request.o_op)); ("status", Str (status_of o));
+         ("detail", Str (Request.status_detail o.Request.o_status));
+         ("retries", int o.Request.o_retries);
+         ("latency_ms", Num o.Request.o_latency_ms) ]
+      @ journal)
   in
-  Buffer.add_string b "{\n  \"requests\": [\n";
-  let n = List.length outcomes in
-  List.iteri
-    (fun i (o : Request.outcome) ->
-      (* Non-ok outcomes cite their flight-recorder offsets: with no
-         drops, journal seq = JSONL line index, so the summary alone
-         tells you where in the journal the failure story lives. *)
-      let journal =
-        if
-          Masc_obs.Journal.is_enabled ()
-          && Request.status_class o.Request.o_status <> "ok"
-        then
-          let seqs = Masc_obs.Journal.seqs_for ~rid:i in
-          Printf.sprintf ", \"journal\": [%s]"
-            (String.concat ", " (List.map string_of_int seqs))
-        else ""
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"index\": %d, \"label\": \"%s\", \"op\": \"%s\", \
-            \"status\": \"%s\", \"detail\": \"%s\", \"retries\": %d, \
-            \"latency_ms\": %.3f%s}%s\n"
-           i
-           (json_escape o.Request.o_label)
-           (op_name o.Request.o_op)
-           (Request.status_class o.Request.o_status)
-           (json_escape (Request.status_detail o.Request.o_status))
-           o.Request.o_retries o.Request.o_latency_ms journal
-           (if i = n - 1 then "" else ",")))
-    outcomes;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"counts\": {\"total\": %d, \"ok\": %d, \"rejected\": %d, \
-        \"trapped\": %d, \"timeout\": %d, \"quarantined\": %d, \"crashed\": \
-        %d, \"invalid\": %d},\n"
-       n (count "ok") (count "rejected") (count "trapped") (count "timeout")
-       (count "quarantined") (count "crashed") (count "invalid"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"latency_ms\": {\"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \
-        \"max\": %.3f},\n"
-       (percentile lat 50.0) (percentile lat 90.0) (percentile lat 99.0)
-       (Array.fold_left Float.max 0.0 lat));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"retries\": %d,\n  \"timeouts\": %d,\n  \"quarantined\": %d,\n"
-       (metric "svc.retries") (metric "svc.timeouts")
-       (metric "svc.quarantined"));
-  Buffer.add_string b
-    (Printf.sprintf "  \"faults_injected\": %d,\n" (metric "fault.injected"));
+  let count cls =
+    int (List.length (List.filter (fun o -> status_of o = cls) outcomes))
+  in
   let hits = metric "compile.cache_hits" in
   let misses = metric "compile.cache_misses" in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f, \
-        \"disk_hits\": %d, \"disk_misses\": %d, \"disk_writes\": %d, \
-        \"disk_corrupt\": %d, \"disk_read_errors\": %d, \
-        \"disk_write_errors\": %d}\n"
-       hits misses
-       (if hits + misses = 0 then 0.0
-        else float_of_int hits /. float_of_int (hits + misses))
-       (metric "cache.disk_hits") (metric "cache.disk_misses")
-       (metric "cache.disk_writes") (metric "cache.disk_corrupt")
-       (metric "cache.disk_read_errors") (metric "cache.disk_write_errors"));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  to_string ~layout:Doc
+    (Obj
+       ([ ("requests", Arr (List.mapi request outcomes));
+          ( "counts",
+            Obj
+              (("total", int (List.length outcomes))
+              :: List.map
+                   (fun cls -> (cls, count cls))
+                   [ "ok"; "rejected"; "trapped"; "timeout"; "quarantined";
+                     "crashed"; "invalid" ]) );
+          ( "latency_ms",
+            Obj
+              (List.map
+                 (fun (k, p) -> (k, Num (Masc_obs.Metrics.quantile lat p)))
+                 [ ("p50", 50.0); ("p90", 90.0); ("p99", 99.0) ]
+              @ [ ("max", Num (Array.fold_left Float.max 0.0 lat)) ]) ) ]
+       @ metrics
+           [ ("retries", "svc.retries"); ("timeouts", "svc.timeouts");
+             ("quarantined", "svc.quarantined");
+             ("faults_injected", "fault.injected") ]
+       @ [ ( "cache",
+             Obj
+               ([ ("hits", Num hits); ("misses", Num misses);
+                  ( "hit_rate",
+                    Num (if hits +. misses = 0.0 then 0.0
+                         else hits /. (hits +. misses)) ) ]
+               @ metrics
+                   (List.map
+                      (fun k -> (k, "cache." ^ k))
+                      [ "disk_hits"; "disk_misses"; "disk_writes";
+                        "disk_corrupt"; "disk_read_errors";
+                        "disk_write_errors" ])) ) ]))

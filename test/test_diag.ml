@@ -148,7 +148,23 @@ let test_json_render () =
     "{\"severity\":\"error\",\"phase\":\"semantic analysis\",\"line\":2,\
      \"col\":5,\"end_line\":2,\"end_col\":19,\"message\":\"undefined \
      variable 'undefined_name'\"}"
-    (Diag.to_json d)
+    (Diag.to_json d);
+  Alcotest.(check (result string string)) "reprints identically"
+    (Ok (Diag.to_json d))
+    (Result.map Masc_obs.Ojson.to_string
+       (Masc_obs.Ojson.parse (Diag.to_json d)))
+
+(* A source byte that is not UTF-8 (Latin-1 0xE9) lands in the lexer's
+   message; the JSON line must still be strict JSON. *)
+let test_json_non_utf8 () =
+  let d = sole_diag "function y = f(x)\ny = x \xe9 1;\nend\n" in
+  Alcotest.(check bool) "lexer error" true (d.Diag.phase = Diag.Lex);
+  match Masc_obs.Ojson.parse (Diag.to_json d) with
+  | Ok v ->
+    Alcotest.(check (option string)) "message carries U+FFFD"
+      (Some "unexpected character '\xef\xbf\xbd'")
+      (Option.bind (Masc_obs.Ojson.member "message" v) Masc_obs.Ojson.to_str)
+  | Error e -> Alcotest.failf "diag JSON rejected: %s" e
 
 (* --- error budget --- *)
 
@@ -267,6 +283,8 @@ let suites =
         Alcotest.test_case "multi-error recovery" `Quick test_multi_error;
         Alcotest.test_case "caret rendering pinned" `Quick test_caret_render;
         Alcotest.test_case "json rendering pinned" `Quick test_json_render;
+        Alcotest.test_case "json of a non-UTF-8 source" `Quick
+          test_json_non_utf8;
         Alcotest.test_case "error budget" `Quick test_error_budget;
         Alcotest.test_case "clean compile accumulates nothing" `Quick
           test_clean_compile_no_diags;

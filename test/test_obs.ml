@@ -9,119 +9,14 @@ module I = Masc_vm.Interp
 module Plan = Masc_vm.Plan
 module K = Masc_kernels.Kernels
 
-(* ---- minimal JSON syntax checker ----
+module J = Obs.Ojson
 
-   Enough of RFC 8259 to catch malformed emitter output (unbalanced
-   structure, unescaped strings, trailing commas) without a json
-   dependency: a recursive-descent parser that validates and discards. *)
-
-let json_valid (s : string) : bool =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else failwith "unexpected char"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | _ -> failwith "bad value"
-  and literal lit =
-    String.iter expect lit
-  and number () =
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let start = !pos in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then failwith "empty number"
-  and string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> failwith "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> failwith "bad \\u escape"
-          done
-        | _ -> failwith "bad escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> failwith "raw control char"
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | Some '}' -> advance ()
-        | _ -> failwith "bad object"
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let rec elements () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          elements ()
-        | Some ']' -> advance ()
-        | _ -> failwith "bad array"
-      in
-      elements ()
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | b -> b
-  | exception Failure _ -> false
+(* Printing is a fixed point: a document the emitters wrote parses, and
+   printing the parsed tree in the same layout gives it back. *)
+let reprint layout d =
+  match J.parse d with
+  | Ok v -> J.to_string ~layout v
+  | Error e -> Alcotest.failf "not JSON (%s): %S" e d
 
 let find_sub ~sub s =
   let n = String.length s and m = String.length sub in
@@ -166,7 +61,9 @@ let test_trace_chrome_json () =
   Obs.Trace.span ~cat:"stage" ~args:[ ("file", "a\"b.m") ] "esc\"aped"
     (fun () -> ());
   let js = Obs.Trace.chrome_json () in
-  Alcotest.(check bool) "chrome trace is valid JSON" true (json_valid js);
+  Alcotest.(check bool) "chrome trace is valid JSON" true
+    (Result.is_ok (J.parse js));
+  Alcotest.(check string) "chrome trace reprints" js (reprint J.Doc js);
   Alcotest.(check bool) "has traceEvents" true
     (contains ~sub:"\"traceEvents\"" js);
   Alcotest.(check bool) "complete events" true
@@ -215,8 +112,9 @@ let test_metrics () =
   | Some ia, Some ic ->
     Alcotest.(check bool) "sorted by name" true (ia < ic)
   | _ -> Alcotest.fail "expected both metrics in the text dump");
-  let js = Obs.Metrics.dump_json () in
-  Alcotest.(check bool) "metrics JSON valid" true (json_valid js);
+  let js = J.to_string (Obs.Metrics.to_json ()) in
+  Alcotest.(check bool) "metrics JSON valid" true (Result.is_ok (J.parse js));
+  Alcotest.(check string) "metrics JSON reprints" js (reprint J.Line js);
   Alcotest.(check bool) "json counter shape" true
     (contains ~sub:"{\"type\":\"counter\",\"value\":5}" js);
   Obs.Metrics.reset ();
@@ -250,7 +148,8 @@ let test_profile_snapshot_render () =
   Alcotest.(check bool) "bar for the hot line" true
     (contains ~sub:"###############" report);
   let js = Obs.Profile.to_json snap in
-  Alcotest.(check bool) "profile JSON valid" true (json_valid js);
+  Alcotest.(check bool) "profile JSON valid" true (Result.is_ok (J.parse js));
+  Alcotest.(check string) "profile JSON reprints" js (reprint J.Doc js);
   Alcotest.(check bool) "json lines array" true
     (contains ~sub:"\"lines\":[" js)
 
@@ -398,7 +297,10 @@ let test_journal_lifecycle () =
     (Obs.Journal.seqs_for ~rid:7);
   List.iter
     (fun line ->
-      Alcotest.(check bool) "each JSONL line valid" true (json_valid line))
+      Alcotest.(check bool) "each JSONL line valid" true
+        (Result.is_ok (J.parse line));
+      Alcotest.(check string) "each JSONL line reprints" line
+        (reprint J.Line line))
     (String.split_on_char '\n' (String.trim (Obs.Journal.to_jsonl ())));
   let flight = Obs.Journal.render_flight () in
   Alcotest.(check bool) "flight dump tagged" true
@@ -448,7 +350,7 @@ let test_journal_stream () =
       List.iter
         (fun l ->
           Alcotest.(check bool) "streamed line is valid JSON" true
-            (json_valid l))
+            (Result.is_ok (J.parse l)))
         lines;
       Alcotest.(check bool) "detail escaped into the stream" true
         (contains ~sub:"\"k\":\"v\\\"q\"" (List.nth lines 1)))
@@ -458,14 +360,14 @@ let test_journal_normalize () =
     "{\"seq\":3,\"ts_ns\":123456,\"rid\":1,\"attempt\":0,\"dom\":2,\
      \"kind\":\"retry.backoff\",\"delay_ms\":\"1.495\",\"site\":\"cache.read\"}"
   in
-  let norm = Obs.Journal.normalize_line line in
+  let norm = Obs.Journal.normalize line in
   Alcotest.(check string) "times zeroed, the rest untouched"
     "{\"seq\":3,\"ts_ns\":0,\"rid\":1,\"attempt\":0,\"dom\":2,\
      \"kind\":\"retry.backoff\",\"delay_ms\":\"0\",\"site\":\"cache.read\"}"
     norm;
   Alcotest.(check bool) "normalized line still valid JSON" true
-    (json_valid norm);
-  Alcotest.(check string) "idempotent" norm (Obs.Journal.normalize_line norm)
+    (Result.is_ok (J.parse norm));
+  Alcotest.(check string) "idempotent" norm (Obs.Journal.normalize norm)
 
 (* ---- trace request lanes ---- *)
 
@@ -486,7 +388,7 @@ let test_trace_request_lanes () =
   Alcotest.(check int) "span inside a request captures its rid" 3
     (by_name "scoped").Obs.Trace.rid;
   let js = Obs.Trace.chrome_json () in
-  Alcotest.(check bool) "chrome trace valid" true (json_valid js);
+  Alcotest.(check bool) "chrome trace valid" true (Result.is_ok (J.parse js));
   Alcotest.(check bool) "request lane tid = 1000+rid" true
     (contains ~sub:"\"tid\":1003" js);
   Alcotest.(check bool) "request lane labelled" true
@@ -518,9 +420,9 @@ let test_metrics_quantiles () =
   let text = Obs.Metrics.dump_text () in
   Alcotest.(check bool) "text dump has exact quantiles" true
     (contains ~sub:"p50=50" text && contains ~sub:"p99=99" text);
-  let js = Obs.Metrics.dump_json () in
+  let js = J.to_string (Obs.Metrics.to_json ()) in
   Alcotest.(check bool) "json dump valid with quantiles" true
-    (json_valid js && contains ~sub:"\"p99\":99" js);
+    (Result.is_ok (J.parse js) && contains ~sub:"\"p99\":99" js);
   Obs.Metrics.reset ()
 
 (* ---- health window arithmetic ---- *)
@@ -588,7 +490,124 @@ let test_ojson () =
   Alcotest.(check bool) "trailing garbage rejected" true
     (Result.is_error (Obs.Ojson.parse "{} x"));
   Alcotest.(check bool) "unterminated rejected" true
-    (Result.is_error (Obs.Ojson.parse "{\"a\": "))
+    (Result.is_error (Obs.Ojson.parse "{\"a\": "));
+  (* strictness: every input below is malformed RFC 8259 *)
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" bad) true
+        (Result.is_error (J.parse bad)))
+    [ "+1"; ".5"; "1."; "01"; "-"; "1e"; "[1,]"; "{\"a\":1,}"; "[1 2]";
+      "{\"a\" 1}"; "{1:2}"; "[1"; "tru"; "x"; "\"abc"; "\"a\001b\"";
+      "\"\xe9\""; "\"\\q\""; "\"\\u12g4\""; "\"\\ud83d\""; "\"\\ude00\"" ];
+  let decodes text expected =
+    Alcotest.(check (result string string)) text (Ok expected)
+      (Result.map (fun v -> Option.get (J.to_str v)) (J.parse text))
+  in
+  decodes "\"\\u00e9\"" "\xc3\xa9";
+  decodes "\"\\ud83d\\ude00\"" "\xf0\x9f\x98\x80";
+  decodes "\"\\/\\b\\f\\u0041\"" "/\b\012A";
+  decodes "\"\xc3\xa9\"" "\xc3\xa9";
+  (* printer policy *)
+  let prints v expected =
+    Alcotest.(check string) expected expected (J.to_string v)
+  in
+  prints (J.Num 1285.0) "1285";
+  prints (J.Num (-0.0)) "-0";
+  prints (J.Num 0.1) "0.1";
+  prints (J.Num 1234.567) "1234.567";
+  prints (J.Num 5e-324) "5e-324";
+  prints (J.Num 1e308) "1e+308";
+  prints (J.Num 0x1p53) "9007199254740992";
+  prints (J.Num Float.nan) "null";
+  prints (J.Num Float.infinity) "null";
+  prints (J.Str "\xe9t\xe9") "\"\\ufffdt\\ufffd\"";
+  prints (J.Str "q\"\\\n\r\t\001") "\"q\\\"\\\\\\n\\r\\t\\u0001\"";
+  Alcotest.(check string) "document layout"
+    "{\n\"a\":[\n{\"b\":[1,2]},\n[]\n],\n\"c\":{\"d\":[3]}\n}\n"
+    (J.to_string ~layout:J.Doc
+       (J.Obj
+          [ ( "a",
+              J.Arr [ J.Obj [ ("b", J.Arr [ J.int 1; J.int 2 ]) ]; J.Arr [] ]
+            );
+            ("c", J.Obj [ ("d", J.Arr [ J.int 3 ]) ]) ]))
+
+(* ---- ojson round-trip properties ---- *)
+
+let gen_bytes =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\001'; '\x7f' ] ])
+      (int_range 0 12))
+
+let gen_utf8 =
+  QCheck.Gen.(
+    map
+      (fun cps ->
+        let b = Buffer.create 16 in
+        List.iter (fun cp -> Buffer.add_utf_8_uchar b (Uchar.of_int cp)) cps;
+        Buffer.contents b)
+      (list_size (int_range 0 8)
+         (oneof
+            [ int_range 0 0x7f; int_range 0x80 0x7ff; int_range 0x800 0xd7ff;
+              int_range 0xe000 0x10ffff ])))
+
+let gen_finite =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0.0; -0.0; 5e-324; 1e308; -1e308; 0x1p53; -0x1p53; 0.1 ];
+        map float_of_int small_signed_int;
+        map (fun f -> if Float.is_finite f then f else 1.5) float ])
+
+let gen_num =
+  QCheck.Gen.(oneof [ gen_finite; oneofl [ Float.nan; Float.infinity ] ])
+
+let rec gen_tree ~str ~num depth =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool;
+        map (fun f -> J.Num f) num; map (fun s -> J.Str s) str ]
+  in
+  if depth = 0 then leaf
+  else
+    let sub = gen_tree ~str ~num (depth - 1) in
+    frequency
+      [ (2, leaf);
+        (1, map (fun l -> J.Arr l) (list_size (int_range 0 4) sub));
+        (1, map (fun l -> J.Obj l) (list_size (int_range 0 4) (pair str sub))) ]
+
+(* Structural equality with floats compared bit for bit (-0 vs 0). *)
+let rec same a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | J.Arr l, J.Arr m -> List.equal same l m
+  | J.Obj l, J.Obj m ->
+    List.equal (fun (k, x) (k', y) -> k = k' && same x y) l m
+  | _ -> a = b
+
+let arb_tree ~str ~num =
+  QCheck.make (gen_tree ~str ~num 4) ~print:(fun v -> J.to_string v)
+
+let prop_prints_valid =
+  QCheck.Test.make ~count:500 ~name:"any tree prints valid UTF-8 JSON"
+    (arb_tree ~str:gen_bytes ~num:gen_num)
+    (fun v ->
+      let line = J.to_string v and doc = J.to_string ~layout:J.Doc v in
+      (not (String.contains line '\n'))
+      && List.for_all
+           (fun d -> String.is_valid_utf_8 d && Result.is_ok (J.parse d))
+           [ line; doc ])
+
+let prop_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (print v) = v for UTF-8 strings"
+    (arb_tree ~str:gen_utf8 ~num:gen_finite)
+    (fun v ->
+      List.for_all
+        (fun layout ->
+          match J.parse (J.to_string ~layout v) with
+          | Ok v' -> same v v'
+          | Error _ -> false)
+        [ J.Line; J.Doc ])
 
 (* ---- bench regression gate ---- *)
 
@@ -619,8 +638,9 @@ let test_bench_diff_gate () =
   let base = bench_doc () in
   let v = bd_diff base (bench_doc ()) in
   Alcotest.(check bool) "identical reports pass" true v.Obs.Bench_diff.v_ok;
-  Alcotest.(check bool) "json verdict valid" true
-    (json_valid (Obs.Bench_diff.render_json v));
+  let js = Obs.Bench_diff.render_json v in
+  Alcotest.(check bool) "json verdict valid" true (Result.is_ok (J.parse js));
+  Alcotest.(check string) "json verdict reprints" js (reprint J.Doc js);
   (* a single cycle of drift on any kernel fails the gate *)
   let v = bd_diff base (bench_doc ~fir_cycles:101 ()) in
   Alcotest.(check bool) "cycle drift fails" false v.Obs.Bench_diff.v_ok;
@@ -683,6 +703,8 @@ let suites =
         Alcotest.test_case "window arithmetic" `Quick test_health_window ] );
     ( "bench gate",
       [ Alcotest.test_case "ojson parser" `Quick test_ojson;
+        QCheck_alcotest.to_alcotest prop_prints_valid;
+        QCheck_alcotest.to_alcotest prop_roundtrip;
         Alcotest.test_case "bench diff verdicts" `Quick test_bench_diff_gate ]
     );
     ( "profiler differential",

@@ -13,6 +13,7 @@ module Batch = Masc_svc.Batch
 module C = Masc.Compiler
 module K = Masc_kernels.Kernels
 module Metrics = Masc_obs.Metrics
+module J = Masc_obs.Ojson
 
 let with_faults ~seed spec f =
   Fault.configure ~seed spec;
@@ -422,6 +423,9 @@ let test_batch_summary_json () =
   let items = Batch.parse ~default_isa:dsp8 "run kernel:fir\n" in
   let outcomes = Batch.run ~policy:Req.default_policy items in
   let json = Batch.summary_json outcomes in
+  Alcotest.(check (result string string)) "summary reprints identically"
+    (Ok json)
+    (Result.map (J.to_string ~layout:J.Doc) (J.parse json));
   let contains sub =
     let n = String.length sub and m = String.length json in
     let rec at i = i + n <= m && (String.sub json i n = sub || at (i + 1)) in
@@ -560,8 +564,39 @@ let test_soak_journal () =
       at 0
     in
     Alcotest.(check bool) "summary cites journal offsets" true
-      (contains "\"journal\": [")
+      (contains "\"journal\":[")
   end
+
+(* A request line carrying a Latin-1 byte (0xE9): the summary and every
+   journal line stay strict JSON, and the label reads back with U+FFFD
+   in place of each byte that is not UTF-8. *)
+let test_batch_non_utf8 () =
+  Journal.enable ();
+  Fun.protect ~finally:Journal.disable @@ fun () ->
+  let items = Batch.parse ~default_isa:dsp8 "run \xe9t\xe9\n" in
+  let outcomes = Batch.run ~policy:Req.default_policy items in
+  let parse what s =
+    match J.parse s with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s is not strict JSON (%s): %S" what e s
+  in
+  let label doc = Option.bind (J.member "label" doc) J.to_str in
+  let replaced = Some "\xef\xbf\xbdt\xef\xbf\xbd" in
+  (match
+     Option.bind
+       (J.member "requests" (parse "summary" (Batch.summary_json outcomes)))
+       J.to_arr
+   with
+  | Some [ req ] ->
+    Alcotest.(check (option string)) "summary label" replaced (label req)
+  | _ -> Alcotest.fail "expected one request in the summary");
+  let lines =
+    String.split_on_char '\n' (String.trim (Journal.to_jsonl ()))
+    |> List.map (parse "journal line")
+  in
+  Alcotest.(check bool) "journal accepted the request" true (lines <> []);
+  Alcotest.(check (option string)) "journal label" replaced
+    (label (List.hd lines))
 
 let suites =
   [ ( "svc fault injection",
@@ -597,7 +632,9 @@ let suites =
       [ Alcotest.test_case "line grammar" `Quick test_batch_parse;
         Alcotest.test_case "order and isolation" `Quick
           test_batch_run_order_and_isolation;
-        Alcotest.test_case "summary json" `Quick test_batch_summary_json ] );
+        Alcotest.test_case "summary json" `Quick test_batch_summary_json;
+        Alcotest.test_case "non-UTF-8 request line" `Quick
+          test_batch_non_utf8 ] );
     ( "svc flight recorder",
       [ Alcotest.test_case "soak determinism and reconstruction" `Slow
           test_soak_journal ] )
